@@ -37,9 +37,8 @@ entity = corpus.Entity("Q19345316", [
 for mode in ("positional", "mean_pool"):
     cfg = EncoderConfig(embedding_dim=d, encoding=mode)
     enc = encode_entity(entity, table, vocab, cfg, max_facts=4)
-    print(f"\n{mode} encoding (rows: fact 0, fact 1, mean fact, padding):")
+    print(f"\n{mode} encoding (rows: fact 0, fact 1, mean fact):")
     print(enc.embeddings.data)
-    print("mask:", enc.mask)
 
 # The mean fact (slot N) is the elementwise mean of the fact
 # embeddings; during decoding, selecting it routes generation to the

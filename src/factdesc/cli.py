@@ -141,12 +141,10 @@ def _cmd_align(args):
 
 
 def emit_attention(checkpoint, entity):
-    """Rows of (emitted token, attention over the entity's live slots)."""
+    """Rows of (emitted token, attention over the entity's slots)."""
     _, trace = training.generate_description(checkpoint, entity, return_trace=True)
-    n_facts = min(len(entity.facts), checkpoint.config.max_facts)
-    labels = [fact.label() for fact in entity.facts[:n_facts]] + ["MEAN"]
-    rows = [(token, alpha[: len(labels)]) for token, alpha in trace]
-    return labels, rows
+    facts = entity.facts[: checkpoint.config.max_facts]
+    return [fact.label() for fact in facts] + ["MEAN"], trace
 
 
 def _cmd_attention(args):

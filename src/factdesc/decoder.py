@@ -155,22 +155,6 @@ class DecoderParams:
                              fixed_mean=self.fixed_mean())
 
 
-@dataclass
-class DecoderStepState:
-    """Decoder state after one step; feedback vectors are mutually exclusive."""
-
-    hidden: Tensor
-    word_feedback: Tensor
-    copy_feedback: Tensor
-    alpha: np.ndarray
-    context: np.ndarray
-
-    def feedback_exclusive(self):
-        w = bool(np.any(self.word_feedback.data))
-        v = bool(np.any(self.copy_feedback.data))
-        return not (w and v)
-
-
 @lru_cache(maxsize=None)
 def _ones_column(rows):
     return Tensor(np.ones((rows, 1)))
@@ -179,13 +163,6 @@ def _ones_column(rows):
 @lru_cache(maxsize=None)
 def _zero_row(width):
     return Tensor(np.zeros((1, width)))
-
-
-@lru_cache(maxsize=None)
-def _slot_selector(slots, index):
-    row = np.zeros((1, slots))
-    row[0, index] = 1.0
-    return Tensor(row)
 
 
 @lru_cache(maxsize=None)
@@ -224,7 +201,7 @@ def select_fact(alpha):
 
 def slot_embedding(fact_embs, slot):
     """Row ``slot`` of the slot matrix as a (1, d) tensor."""
-    return matmul(_slot_selector(fact_embs.data.shape[0], slot), fact_embs)
+    return embedding_rows(fact_embs, [slot])
 
 
 def attention_context(alpha, fact_embs):
@@ -283,8 +260,10 @@ def greedy_decode(entity, params, vocab, enc_cfg, max_facts, max_len,
     """Greedy generation for one entity.
 
     Stops at ``<EOS>`` or ``max_len``; ``<UNK>`` emissions are stripped
-    from the returned tokens (the trace keeps every step).  With
-    ``copy_only`` the mean-fact slot is never selectable, so only
+    from the returned tokens (the trace keeps every step, with one
+    attention weight per slot).  The vocabulary head picks among the
+    ``len(vocab)`` words only, never among rows the model has past them.
+    With ``copy_only`` the mean-fact slot is never selectable, so only
     factual words can be emitted and decoding runs until ``max_len``.
     """
     enc = params.encode(entity, vocab, enc_cfg, max_facts)
@@ -292,45 +271,36 @@ def greedy_decode(entity, params, vocab, enc_cfg, max_facts, max_len,
     if copy_only:
         mask[enc.mean_slot] = False
     dims = params.dims
-    state = DecoderStepState(
-        hidden=_zero_row(dims.hidden_dim),
-        word_feedback=_zero_row(dims.embed_dim),
-        copy_feedback=_zero_row(dims.copy_width),
-        alpha=np.zeros(enc.slots),
-        context=np.zeros(dims.embed_dim),
-    )
+    h = _zero_row(dims.hidden_dim)
+    w_prev = _zero_row(dims.embed_dim)
+    v_prev = _zero_row(dims.copy_width)
     tokens = []
     trace = []
     for _ in range(max_len):
-        selected = _select_live_slot(enc, mask, state.hidden, params)
+        selected = _select_live_slot(enc, mask, h, params)
         if selected is None:
             break
         alpha, slot = selected
         f_t = slot_embedding(enc.embeddings, slot)
-        h_t = decoder_step(f_t, state.word_feedback, state.copy_feedback,
-                           state.hidden, params)
+        h = decoder_step(f_t, w_prev, v_prev, h, params)
         if slot == enc.mean_slot:
-            context = attention_context(alpha, enc.embeddings)
-            dist = vocab_logits(context, h_t, params)
-            word_idx = int(np.argmax(dist.data))
+            dist = vocab_logits(attention_context(alpha, enc.embeddings), h, params)
+            word_idx = int(np.argmax(dist.data[: len(vocab)]))
             token = vocab.word(word_idx)
-            trace.append((token, alpha.data.copy()))
+            trace.append((token, alpha.data))
             if token == EOS:
                 break
             tokens.append(token)
-            state = DecoderStepState(h_t, embedding_rows(params.word_emb, [word_idx]),
-                                     _zero_row(dims.copy_width),
-                                     alpha.data, context.data[0])
+            w_prev = embedding_rows(params.word_emb, [word_idx])
+            v_prev = _zero_row(dims.copy_width)
         else:
-            dist = copy_logits(f_t, h_t, enc.word_counts[slot], params)
+            dist = copy_logits(f_t, h, enc.word_counts[slot], params)
             pos = int(np.argmax(dist.data))
             token = entity.facts[slot].factual_words[pos]
-            trace.append((token, alpha.data.copy()))
+            trace.append((token, alpha.data))
             tokens.append(token)
-            state = DecoderStepState(h_t, _zero_row(dims.embed_dim),
-                                     _copy_onehot(dims.copy_width, pos),
-                                     alpha.data, np.zeros(dims.embed_dim))
-        assert state.feedback_exclusive()
+            w_prev = _zero_row(dims.embed_dim)
+            v_prev = _copy_onehot(dims.copy_width, pos)
     tokens = [t for t in tokens if t != UNK]
     if return_trace:
         return tokens, trace

@@ -9,8 +9,8 @@ elementwise by the column l_j with
 so early and late phrase positions project into different embedding
 subspaces; ``mean_pool`` mode replaces this with a plain average.  The
 mean of all fact embeddings is appended as one extra slot (the phantom
-fact that generates vocabulary words), and the slot list is padded to a
-fixed width with an attention mask marking the live entries.
+fact that generates vocabulary words), so an entity with N facts exposes
+exactly N + 1 slots.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ class EncoderConfig:
 class EncodedEntity:
     """Slot matrix an entity exposes to the decoder.
 
-    ``embeddings`` has ``slots`` rows: the N fact embeddings, the mean
-    fact, then zero padding; ``mask`` is true on the first N+1 rows.
+    ``embeddings`` has N + 1 rows: the N fact embeddings, then the mean
+    fact.  ``mask`` starts all true; decoders copy it to switch slots off.
     ``word_counts`` holds each fact's number of copyable words.
     """
 
@@ -61,10 +61,6 @@ class EncodedEntity:
     @property
     def mean_slot(self):
         return self.n_facts
-
-    @property
-    def slots(self):
-        return self.mask.shape[0]
 
 
 def positional_weights(phrase_len, dim):
@@ -94,11 +90,6 @@ def _mean_weights(n):
     return Tensor(np.full((1, n), 1.0 / n))
 
 
-@lru_cache(maxsize=None)
-def _zero_rows(rows, dim):
-    return Tensor(np.zeros((rows, dim)))
-
-
 def fixed_mean_vector(rng, dim):
     """The frozen stand-in for the mean fact, sampled once at init."""
     bound = 1.0 / np.sqrt(dim)
@@ -122,7 +113,7 @@ def encode_fact(fact, word_embeddings, vocab, cfg):
 
 def encode_entity(entity, word_embeddings, vocab, cfg, max_facts=DEFAULT_MAX_FACTS,
                   fixed_mean=None):
-    """All fact embeddings plus the mean-fact slot, padded and masked."""
+    """The first ``max_facts`` fact embeddings plus the mean-fact slot."""
     facts = entity.facts[:max_facts]
     n = len(facts)
     if n == 0:
@@ -134,15 +125,9 @@ def encode_entity(entity, word_embeddings, vocab, cfg, max_facts=DEFAULT_MAX_FAC
         if fixed_mean is None:
             raise ConfigError("fixed_random mean-fact mode needs the frozen vector")
         mean_row = fixed_mean
-    parts = [stacked, mean_row]
-    pad = max_facts - n
-    if pad:
-        parts.append(_zero_rows(pad, cfg.embedding_dim))
-    mask = np.zeros(max_facts + 1, dtype=bool)
-    mask[: n + 1] = True
     return EncodedEntity(
-        embeddings=concat(parts, axis=0),
-        mask=mask,
+        embeddings=concat([stacked, mean_row], axis=0),
+        mask=np.ones(n + 1, dtype=bool),
         n_facts=n,
         word_counts=[len(f.factual_words) for f in facts],
     )

@@ -49,6 +49,11 @@ log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"FKS1"
 CHECKPOINT_VERSION = 1
+MANIFEST_KEYS = ("config", "vocab", "meta", "tensors")
+
+# Python types a JSON config value may have, by TrainConfig annotation.
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool,
+               "float | None": (int, float, type(None))}
 
 
 @dataclass
@@ -93,10 +98,18 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data):
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
+        kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = sorted(set(data) - set(kinds))
         if unknown:
             raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
+        for name, value in data.items():
+            kind = kinds[name]
+            # bool is an int subclass, so true/false only fit bool fields
+            if isinstance(value, bool) != (kind == "bool") or not isinstance(
+                    value, _JSON_TYPES[kind]):
+                raise ConfigError(f"config field {name} must be {kind}, got {value!r}")
         return cls(**data)
 
     @classmethod
@@ -335,8 +348,9 @@ def save_checkpoint(checkpoint, path):
 def load_checkpoint(path):
     """Read an FKS1 file back into a :class:`Checkpoint`.
 
-    Rejects bad magic, version mismatches, truncated payloads, and
-    tensors whose shapes disagree with the embedded config.
+    Rejects bad magic, version mismatches, malformed manifests, a
+    vocabulary longer than the output rows, tensors that run past or
+    short of the payload, and shapes that disagree with the config.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
@@ -352,20 +366,37 @@ def load_checkpoint(path):
         manifest = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: manifest unreadable: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{path}: manifest is not a JSON object")
     if manifest.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {manifest.get('version')!r}")
+    missing = [key for key in MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise CheckpointError(f"{path}: manifest lacks {', '.join(missing)}")
     config = TrainConfig.from_dict(manifest["config"])
-    vocab = Vocabulary(manifest["vocab"])
+    words = manifest["vocab"]
+    if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+        raise CheckpointError(f"{path}: vocabulary is not a list of words")
+    if len(words) > config.dims().vocab_size:
+        raise CheckpointError(f"{path}: {len(words)} vocabulary words for "
+                              f"{config.dims().vocab_size} output rows")
     payload = raw[8 + manifest_len:]
-    expected = sum(prod(e["shape"]) * 4 for e in manifest["tensors"])
-    if len(payload) != expected:
-        raise CheckpointError(f"{path}: payload holds {len(payload)} bytes, "
-                              f"manifest declares {expected}")
     arrays = {}
-    for entry in manifest["tensors"]:
-        n_bytes = prod(entry["shape"]) * 4
-        chunk = payload[entry["offset"]:entry["offset"] + n_bytes]
-        arrays[entry["name"]] = (np.frombuffer(chunk, dtype="<f4")
-                                 .reshape(entry["shape"]).astype(np.float64))
+    declared = 0
+    try:
+        for entry in manifest["tensors"]:
+            name, shape, offset = entry["name"], entry["shape"], entry["offset"]
+            n_bytes = prod(shape) * 4
+            if not 0 <= offset <= len(payload) - n_bytes:
+                raise CheckpointError(f"{path}: tensor {name!r} at byte {offset} runs "
+                                      f"past the {len(payload)}-byte payload")
+            chunk = payload[offset:offset + n_bytes]
+            arrays[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape).astype(np.float64)
+            declared += n_bytes
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed tensor entry: {exc!r}") from exc
+    if len(payload) != declared:
+        raise CheckpointError(f"{path}: payload holds {len(payload)} bytes, "
+                              f"manifest declares {declared}")
     params = DecoderParams(config.dims(), config.mean_fact, arrays=arrays)
-    return Checkpoint(params, config, vocab, manifest["meta"])
+    return Checkpoint(params, config, Vocabulary(words), manifest["meta"])

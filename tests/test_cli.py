@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -182,3 +183,73 @@ def test_attention_single_fact_entity_has_two_columns(trained, tmp_path):
                     "--data", str(single), "--out", str(out)]) == 0
     header = out.read_text().splitlines()[0].split("\t")
     assert header == ["token", "instance of: road", "MEAN"]
+
+
+def _rewrite_manifest(src, dst, edit):
+    """Copy an FKS1 file with ``edit(manifest)``'s result as its manifest."""
+    raw = src.read_bytes()
+    (length,) = struct.unpack("<I", raw[4:8])
+    manifest = edit(json.loads(raw[8:8 + length]))
+    blob = json.dumps(manifest).encode("utf-8")
+    dst.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + length:])
+
+
+def _generate_exit(ckpt, tmp_path, capsys):
+    base = tmp_path / "in.jsonl"
+    toycorpus.write_jsonl(toycorpus.generate_corpus(2, seed=9), base)
+    code = cli.run(["generate", "--checkpoint", str(ckpt), "--input", str(base),
+                    "--out", str(tmp_path / "out.jsonl")])
+    return code, capsys.readouterr().err
+
+
+def test_generate_manifest_not_an_object_exits_2(trained, tmp_path, capsys):
+    bad = tmp_path / "bad.fks"
+    _rewrite_manifest(trained[3], bad, lambda m: [m])
+    code, err = _generate_exit(bad, tmp_path, capsys)
+    assert code == 2 and "not a JSON object" in err
+
+
+@pytest.mark.parametrize("key", ["config", "vocab", "meta", "tensors"])
+def test_generate_manifest_missing_key_exits_2(trained, tmp_path, capsys, key):
+    bad = tmp_path / "bad.fks"
+    _rewrite_manifest(trained[3], bad, lambda m: {k: v for k, v in m.items() if k != key})
+    code, err = _generate_exit(bad, tmp_path, capsys)
+    assert code == 2 and key in err
+
+
+def test_generate_tensor_past_payload_exits_2(trained, tmp_path, capsys):
+    def shift_last(manifest):
+        manifest["tensors"][-1]["offset"] += 4
+        return manifest
+
+    bad = tmp_path / "bad.fks"
+    _rewrite_manifest(trained[3], bad, shift_last)
+    code, err = _generate_exit(bad, tmp_path, capsys)
+    assert code == 2 and "runs past" in err
+
+
+def test_generate_vocabulary_longer_than_output_rows_exits_2(trained, tmp_path, capsys):
+    def grow_vocab(manifest):
+        rows = manifest["config"]["vocab_size"] + 3
+        manifest["vocab"] += [f"extra{i}" for i in range(rows + 1 - len(manifest["vocab"]))]
+        return manifest
+
+    bad = tmp_path / "bad.fks"
+    _rewrite_manifest(trained[3], bad, grow_vocab)
+    code, err = _generate_exit(bad, tmp_path, capsys)
+    assert code == 2 and "vocabulary" in err
+
+
+@pytest.mark.parametrize("command", ["params", "train"])
+@pytest.mark.parametrize("config", [[1, 2], {"epochs": "3"}, {"copy_only": 1},
+                                    {"batch_size": True}])
+def test_malformed_config_exits_2(trained, tmp_path, capsys, command, config):
+    _, train_path, dev_path, _ = trained
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = [command, "--config", str(path)]
+    if command == "train":
+        argv += ["--train", str(train_path), "--dev", str(dev_path),
+                 "--out", str(tmp_path / "model.fks")]
+    assert cli.run(argv) == 2
+    assert "config" in capsys.readouterr().err

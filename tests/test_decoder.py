@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,10 @@ from factdesc import corpus, decoder
 from factdesc.decoder import DecoderParams, ModelDims
 from factdesc.encoder import EncoderConfig
 from factdesc.errors import EmptyFactError
-from factdesc.tensor import Tensor, grad_check, masked_softmax, sum_all
+from factdesc.tensor import Tensor, grad_check, masked_softmax, mul, sum_all
+from factdesc.training import TrainConfig
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def tiny_dims(**kw):
@@ -86,6 +91,22 @@ def test_positive_rescaling_keeps_argmax():
         for scale in (0.1, 3.0, 17.0):
             scaled = decoder.select_fact(masked_softmax(Tensor(energies * scale), mask))
             assert scaled == base
+
+
+def test_slot_embedding_gathers_the_exact_row():
+    rng = np.random.default_rng(15)
+    slots = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    weights = Tensor(rng.normal(size=(1, 3)))
+    for slot in range(4):
+        row = decoder.slot_embedding(slots, slot)
+        assert row.data.shape == (1, 3)
+        assert np.array_equal(row.data[0], slots.data[slot])
+
+        def f(ps, slot=slot):
+            return sum_all(mul(decoder.slot_embedding(ps[0], slot), weights))
+
+        assert grad_check(f, [slots]) < 1e-6
+        assert np.array_equal(np.delete(slots.grad, slot, axis=0), np.zeros((3, 3)))
 
 
 def test_decoder_step_zero_weights_halve_state():
@@ -248,3 +269,37 @@ def test_greedy_decode_reselects_when_fact_has_no_words():
                                           max_facts=2, max_len=4, return_trace=True)
     for _, alpha in trace:
         assert np.argmax(alpha) == 1  # mean slot; the wordless fact is masked
+
+
+def test_greedy_trace_rows_cover_exactly_the_entitys_slots():
+    dims = tiny_dims()
+    vocab = corpus.Vocabulary(["<UNK>", "<SOS>", "<EOS>", "street", "in", "blue"])
+    rng = np.random.default_rng(16)
+    for seed in range(8):
+        params = DecoderParams(dims, rng=np.random.default_rng(40 + seed))
+        entity = random_entity(rng, vocab)
+        _, trace = decoder.greedy_decode(entity, params, vocab,
+                                         EncoderConfig(embedding_dim=3),
+                                         max_facts=5, max_len=6, return_trace=True)
+        assert trace
+        for _, alpha in trace:
+            assert alpha.shape == (len(entity.facts) + 1,)
+            assert abs(alpha.sum() - 1.0) < 1e-12
+
+
+def test_greedy_decode_never_emits_rows_past_the_vocabulary():
+    # sample1k sizes give 1,003 vocabulary rows for a 783-word vocabulary;
+    # a wordless fact leaves every step to the vocabulary head
+    config = TrainConfig.from_file(ROOT / "configs" / "sample1k.json")
+    train = corpus.load_entities(ROOT / "data" / "sample1k" / "train.jsonl",
+                                 config.max_facts, config.max_factual_words)
+    vocab = corpus.build_vocabulary(train, config.vocab_size, config.vocab_source)
+    assert len(vocab) == 783 and config.dims().vocab_size == 1003
+    entity = corpus.Entity("Q", [corpus.Fact.build("instance of", "the")], None)
+    for seed in range(50):
+        params = DecoderParams(config.dims(), rng=np.random.default_rng(seed))
+        tokens, trace = decoder.greedy_decode(entity, params, vocab,
+                                              config.encoder_config(), config.max_facts,
+                                              config.max_decode_len, return_trace=True)
+        assert all(token in vocab for token, _ in trace)
+        assert all(token in vocab for token in tokens)

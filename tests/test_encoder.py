@@ -138,14 +138,18 @@ def test_encode_entity_single_fact_mean_equals_fact():
     assert np.allclose(enc.embeddings.data[1], enc.embeddings.data[0])
 
 
-def test_encode_entity_mask_and_padding():
+def test_encode_entity_one_slot_per_fact_plus_mean():
     vocab, table = _entity_setup()
     cfg = EncoderConfig(embedding_dim=2)
     enc = encoder.encode_entity(_two_fact_entity(), table, vocab, cfg, max_facts=5)
-    assert enc.slots == 6
-    assert enc.mask.tolist() == [True, True, True, False, False, False]
-    assert np.array_equal(enc.embeddings.data[3:], np.zeros((3, 2)))
+    assert enc.embeddings.data.shape == (3, 2)
+    assert enc.mask.tolist() == [True, True, True]
     assert enc.n_facts == 2 and enc.mean_slot == 2
+    seven = corpus.Entity("Q7", [corpus.Fact(["a"], [], [])] * 7, None)
+    enc = encoder.encode_entity(seven, table, vocab, cfg, max_facts=5)
+    assert enc.embeddings.data.shape == (6, 2)
+    assert enc.mask.tolist() == [True] * 6
+    assert enc.n_facts == 5 and enc.mean_slot == 5 and len(enc.word_counts) == 5
 
 
 def test_encode_entity_fixed_mean_is_shared_across_entities():
