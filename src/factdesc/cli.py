@@ -27,6 +27,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text):
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _build_parser():
     parser = _Parser(prog="factdesc",
                      description="Synthesize entity descriptions from facts.")
@@ -42,7 +49,7 @@ def _build_parser():
     p_gen.add_argument("--checkpoint", required=True)
     p_gen.add_argument("--input", required=True, help="entity JSONL (descriptions optional)")
     p_gen.add_argument("--out", required=True, help="output JSONL of id/text rows")
-    p_gen.add_argument("--max-len", type=int, default=None)
+    p_gen.add_argument("--max-len", type=_positive_int, default=None)
 
     p_eval = sub.add_parser("evaluate", help="score candidates against references")
     p_eval.add_argument("--candidates", required=True, help="JSONL of id/text rows")
@@ -72,7 +79,7 @@ def _load_config(path):
 def _read_text_rows(path):
     rows = {}
     with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
+        for line_no, line in enumerate(corpus.utf8_lines(handle, path), start=1):
             if not line.strip():
                 continue
             try:

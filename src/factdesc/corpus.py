@@ -188,7 +188,7 @@ def load_entities(path, max_facts=DEFAULT_MAX_FACTS,
     """Parse one JSONL file; malformed lines raise with their line number."""
     entities = []
     with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
+        for line_no, line in enumerate(utf8_lines(handle, path), start=1):
             if not line.strip():
                 continue
             try:
@@ -202,6 +202,14 @@ def load_entities(path, max_facts=DEFAULT_MAX_FACTS,
             if entity is not None:
                 entities.append(entity)
     return entities
+
+
+def utf8_lines(handle, path):
+    """The lines of a text file opened as UTF-8; other bytes raise ``DataError``."""
+    try:
+        yield from handle
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def load_dataset(train_path, dev_path, test_path, max_facts=DEFAULT_MAX_FACTS,

@@ -21,17 +21,15 @@ from .encoder import encode_entity, fixed_mean_vector
 from .errors import ConfigError, EmptyFactError, ShapeError
 from .tensor import (
     Tensor,
-    add,
     affine,
     concat,
     embedding_rows,
-    gate_blend,
+    gru,
     masked_softmax,
     matmul,
-    mul,
+    pair_rows,
     relu,
     reshape,
-    sigmoid,
     tanh,
 )
 
@@ -156,11 +154,6 @@ class DecoderParams:
 
 
 @lru_cache(maxsize=None)
-def _ones_column(rows):
-    return Tensor(np.ones((rows, 1)))
-
-
-@lru_cache(maxsize=None)
 def _zero_row(width):
     return Tensor(np.zeros((1, width)))
 
@@ -177,70 +170,64 @@ def _all_true(n):
     return np.ones(n, dtype=bool)
 
 
-@lru_cache(maxsize=None)
-def _first_n(width, n):
-    mask = np.zeros(width, dtype=bool)
-    mask[:n] = True
-    return mask
-
+# Every layer below takes T rows, one per decoding step: teacher-forced
+# training calls each once per entity with all its steps, greedy decoding
+# once per step with one row.
 
 def fact_attention(fact_embs, mask, h_prev, params):
-    """Attention distribution over the entity's slots given h_{t-1}."""
-    slots = fact_embs.data.shape[0]
-    tiled = matmul(_ones_column(slots), h_prev)
-    pairs = concat([fact_embs, tiled], axis=1)
-    hidden = tanh(affine(pairs, params.attn_hidden_w, params.attn_hidden_b))
+    """Attention distributions over the entity's slots, one row per row of h_{t-1}."""
+    steps, slots = h_prev.data.shape[0], fact_embs.data.shape[0]
+    hidden = tanh(affine(pair_rows(fact_embs, h_prev),
+                         params.attn_hidden_w, params.attn_hidden_b))
     energies = affine(hidden, params.attn_energy_w, params.attn_energy_b)
-    return masked_softmax(reshape(energies, (slots,)), mask)
+    return masked_softmax(reshape(energies, (steps, slots)), mask)
 
 
 def select_fact(alpha):
-    """Argmax slot; ties break toward the lowest index."""
+    """Argmax slot of one attention row; ties break toward the lowest index."""
     return int(np.argmax(alpha.data))
 
 
-def slot_embedding(fact_embs, slot):
-    """Row ``slot`` of the slot matrix as a (1, d) tensor."""
-    return embedding_rows(fact_embs, [slot])
+def slot_embedding(fact_embs, slots):
+    """Rows of the slot matrix, (T, d), for one slot index or a sequence of T."""
+    return embedding_rows(fact_embs, np.asarray(slots, dtype=np.intp).reshape(-1))
 
 
 def attention_context(alpha, fact_embs):
-    """Attention-weighted mix of all slots (the vocabulary head's input)."""
-    return matmul(reshape(alpha, (1, alpha.data.shape[0])), fact_embs)
+    """Attention-weighted mix of all slots per row (the vocabulary head's input)."""
+    return matmul(alpha, fact_embs)
 
 
-def decoder_step(f_t, w_prev, v_prev, h_prev, params):
-    """One GRU update from [f_t; w_{t-1}; v_{t-1}] and h_{t-1}."""
-    x = concat([f_t, w_prev, v_prev], axis=1)
-    z = sigmoid(add(affine(x, params.gru_update_x, params.gru_update_b),
-                    affine(h_prev, params.gru_update_h)))
-    r = sigmoid(add(affine(x, params.gru_reset_x, params.gru_reset_b),
-                    affine(h_prev, params.gru_reset_h)))
-    cand = tanh(add(affine(x, params.gru_cand_x, params.gru_cand_b),
-                    affine(mul(r, h_prev), params.gru_cand_h)))
-    return gate_blend(z, h_prev, cand)
+def decoder_step(f, w_prev, v_prev, h0, params):
+    """GRU states h_1..h_T from the input rows [f_t; w_{t-1}; v_{t-1}] and h_0."""
+    return gru(concat([f, w_prev, v_prev], axis=1), h0,
+               params.gru_update_x, params.gru_update_h, params.gru_update_b,
+               params.gru_reset_x, params.gru_reset_h, params.gru_reset_b,
+               params.gru_cand_x, params.gru_cand_h, params.gru_cand_b)
 
 
-def vocab_logits(c_t, h_t, params):
-    """Distribution over the vocabulary from [c_t; h_t]."""
-    hidden = relu(affine(concat([c_t, h_t], axis=1),
-                         params.vocab_hidden_w, params.vocab_hidden_b))
+def vocab_logits(c, h, params):
+    """Distributions over the vocabulary from the rows [c_t; h_t]."""
+    hidden = relu(affine(concat([c, h], axis=1), params.vocab_hidden_w, params.vocab_hidden_b))
     scores = affine(hidden, params.vocab_out_w, params.vocab_out_b)
-    size = params.dims.vocab_size
-    return masked_softmax(reshape(scores, (size,)), _all_true(size))
+    return masked_softmax(scores, _all_true(params.dims.vocab_size))
 
 
-def copy_logits(f_t, h_t, n_words, params):
-    """Distribution over copy positions 1..n_words from [f_t; h_t]."""
+def copy_logits(f, h, n_words, params):
+    """Distributions over copy positions 1..n_words from the rows [f_t; h_t].
+
+    ``n_words`` is one count for every row or one count per row.
+    """
     width = params.dims.copy_width
-    if n_words == 0:
+    counts = np.asarray(n_words)
+    fewest, most = counts.min(), counts.max()
+    if fewest == 0:
         raise EmptyFactError("copy head selected a fact with no factual words")
-    if not 0 < n_words <= width:
+    if fewest < 0 or most > width:
         raise ShapeError(f"n_words {n_words} outside 1..{width}")
-    hidden = relu(affine(concat([f_t, h_t], axis=1),
-                         params.copy_hidden_w, params.copy_hidden_b))
+    hidden = relu(affine(concat([f, h], axis=1), params.copy_hidden_w, params.copy_hidden_b))
     scores = affine(hidden, params.copy_out_w, params.copy_out_b)
-    return masked_softmax(reshape(scores, (width,)), _first_n(width, n_words))
+    return masked_softmax(scores, np.arange(width) < counts[..., None])
 
 
 def _select_live_slot(enc, mask, h_prev, params):
@@ -285,9 +272,9 @@ def greedy_decode(entity, params, vocab, enc_cfg, max_facts, max_len,
         h = decoder_step(f_t, w_prev, v_prev, h, params)
         if slot == enc.mean_slot:
             dist = vocab_logits(attention_context(alpha, enc.embeddings), h, params)
-            word_idx = int(np.argmax(dist.data[: len(vocab)]))
+            word_idx = int(np.argmax(dist.data[0, : len(vocab)]))
             token = vocab.word(word_idx)
-            trace.append((token, alpha.data))
+            trace.append((token, alpha.data[0]))
             if token == EOS:
                 break
             tokens.append(token)
@@ -297,7 +284,7 @@ def greedy_decode(entity, params, vocab, enc_cfg, max_facts, max_len,
             dist = copy_logits(f_t, h, enc.word_counts[slot], params)
             pos = int(np.argmax(dist.data))
             token = entity.facts[slot].factual_words[pos]
-            trace.append((token, alpha.data))
+            trace.append((token, alpha.data[0]))
             tokens.append(token)
             w_prev = _zero_row(dims.embed_dim)
             v_prev = _copy_onehot(dims.copy_width, pos)

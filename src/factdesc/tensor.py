@@ -181,11 +181,15 @@ def affine(x, w, b=None):
 
 def concat(parts, axis=0):
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    sizes = [p.data.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
 
     def grad_fn(g):
-        return tuple(np.split(g, splits, axis=axis))
+        lead = (slice(None),) * (axis % g.ndim)
+        grads, start = [], 0
+        for p in parts:
+            stop = start + p.data.shape[axis]
+            grads.append(g[lead + (slice(start, stop),)])
+            start = stop
+        return grads
 
     return _record("concat", tuple(parts), out, grad_fn)
 
@@ -200,17 +204,6 @@ def tanh(x):
     return _record("tanh", (x,), out, grad_fn)
 
 
-def sigmoid(x):
-    with np.errstate(over="ignore"):
-        s = 1.0 / (1.0 + np.exp(-x.data))
-    out = Tensor(s)
-
-    def grad_fn(g):
-        return (g * s * (1.0 - s),)
-
-    return _record("sigmoid", (x,), out, grad_fn)
-
-
 def relu(x):
     out = Tensor(np.maximum(x.data, 0.0))
     pos = x.data > 0
@@ -222,23 +215,26 @@ def relu(x):
 
 
 def masked_softmax(v, mask):
-    """Softmax over the unmasked entries of a 1-D tensor.
+    """Softmax over the unmasked entries of each row of ``v``.
 
-    Masked entries come out exactly zero; the rest are stabilized by
-    max-subtraction (masking enters as a -inf energy).
+    ``v`` is one row (K,) or T rows (T, K); ``mask`` is (K,), shared by
+    every row, or (T, K).  Masked entries come out exactly zero; the rest
+    are stabilized by max-subtraction (masking enters as a -inf energy).
     """
     mask = np.asarray(mask, dtype=bool)
-    if v.data.ndim != 1 or v.data.shape != mask.shape:
-        raise ShapeError(f"masked_softmax got values {v.data.shape} and mask {mask.shape}")
-    if not mask.any():
-        raise InvalidMaskError("masked_softmax: every entry is masked")
-    energies = np.where(mask, v.data, -np.inf)
-    e = np.exp(energies - energies.max())
-    p = e / e.sum()
+    x = v.data
+    if x.ndim not in (1, 2) or not 0 < mask.ndim <= x.ndim \
+            or mask.shape != x.shape[x.ndim - mask.ndim:]:
+        raise ShapeError(f"masked_softmax got values {x.shape} and mask {mask.shape}")
+    if not (mask.any() if mask.ndim == 1 else mask.any(axis=1).all()):
+        raise InvalidMaskError("masked_softmax: every entry of a row is masked")
+    energies = np.where(mask, x, -np.inf)
+    e = np.exp(energies - energies.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(p)
 
     def grad_fn(g):
-        inner = (g * p).sum()
+        inner = (g * p).sum(axis=-1, keepdims=True)
         return (p * (g - inner),)
 
     return _record("masked_softmax", (v,), out, grad_fn)
@@ -256,27 +252,97 @@ def embedding_rows(table, indices):
 
 
 def nll(p, index):
-    """Negative log-likelihood of class ``index`` under distribution ``p``."""
-    i = int(index)
-    val = p.data[i]
-    out = Tensor(-np.log(val))
+    """Summed negative log-likelihood of the gold classes under ``p``.
+
+    ``p`` is one distribution (K,) with one class ``index``, or T
+    distributions (T, K) with one class per row.
+    """
+    if p.data.ndim == 2:
+        at = (np.arange(p.data.shape[0]), np.asarray(index, dtype=np.intp))
+        if at[1].shape != at[0].shape:
+            raise ShapeError(f"nll got {at[1].shape} classes for {p.data.shape[0]} rows")
+    else:
+        at = int(index)
+    vals = p.data[at]
+    out = Tensor(-np.log(vals).sum())
 
     def grad_fn(g):
         gp = np.zeros_like(p.data)
-        gp[i] = -g / val
+        gp[at] = -g / vals
         return (gp,)
 
     return _record("nll", (p,), out, grad_fn)
 
 
-def gate_blend(z, a, b):
-    """``(1 - z) * a + z * b`` elementwise (the GRU state interpolation)."""
-    out = Tensor((1.0 - z.data) * a.data + z.data * b.data)
+def pair_rows(keys, queries):
+    """Row ``[keys[s]; queries[t]]`` for every query t and key s, t-major.
+
+    ``keys`` (S, a) and ``queries`` (T, b) give (T * S, a + b): the input
+    of additive attention scoring every key against every query.
+    """
+    k, q = keys.data, queries.data
+    steps, slots, width = q.shape[0], k.shape[0], k.shape[1]
+    pairs = np.empty((steps, slots, width + q.shape[1]))
+    pairs[:, :, :width] = k
+    pairs[:, :, width:] = q[:, None, :]
+    out = Tensor(pairs.reshape(steps * slots, -1))
 
     def grad_fn(g):
-        return g * (b.data - a.data), g * (1.0 - z.data), g * z.data
+        g = g.reshape(steps, slots, -1)
+        return g[:, :, :width].sum(axis=0), g[:, :, width:].sum(axis=1)
 
-    return _record("gate_blend", (z, a, b), out, grad_fn)
+    return _record("pair_rows", (keys, queries), out, grad_fn)
+
+
+def gru(x, h0, wz, uz, bz, wr, ur, br, wc, uc, bc):
+    """GRU states h_1..h_T (T, H) from the input rows x_1..x_T of ``x`` and ``h0`` (1, H).
+
+    Step t computes z = sigmoid(x_t wz' + bz + h uz'), r likewise from
+    (wr, ur, br), c = tanh(x_t wc' + bc + (r * h) uc') and the state
+    (1 - z) * h + z * c.  The input projections are one GEMM per gate
+    over all T rows; only the H x H recurrence runs step by step.  The
+    gradient is backpropagation through time written out by hand, so each
+    weight gradient is one GEMM over the T steps.
+    """
+    xs, hidden = x.data, uz.data.shape[0]
+    if xs.ndim != 2 or xs.shape[1] != wz.data.shape[1] or h0.data.shape != (1, hidden):
+        raise ShapeError(f"gru got inputs {xs.shape} and state {h0.data.shape} "
+                         f"for weights {wz.data.shape} and {uz.data.shape}")
+    steps = xs.shape[0]
+    az, ar, ac = [xs @ w.data.T + b.data for w, b in ((wz, bz), (wr, br), (wc, bc))]
+    hs = np.empty((steps + 1, hidden))  # h_0..h_T
+    hs[0] = h0.data
+    z, r, c = np.empty((steps, hidden)), np.empty((steps, hidden)), np.empty((steps, hidden))
+    with np.errstate(over="ignore"):  # exp(-a) overflows to inf, and the gate to 0
+        for t in range(steps):
+            h = hs[t:t + 1]
+            z[t] = zt = 1.0 / (1.0 + np.exp(-(az[t:t + 1] + h @ uz.data.T)))
+            r[t] = rt = 1.0 / (1.0 + np.exp(-(ar[t:t + 1] + h @ ur.data.T)))
+            c[t] = ct = np.tanh(ac[t:t + 1] + (rt * h) @ uc.data.T)
+            hs[t + 1] = (1.0 - zt) * h + zt * ct
+    prev = hs[:-1]
+    out = Tensor(hs[1:])
+
+    def grad_fn(g):
+        # local derivatives of every step at once: of h_t by the gates'
+        # pre-activations and by h_{t-1} directly, and of r * h by r's
+        by_z, by_c, by_h = (c - prev) * z * (1.0 - z), z * (1.0 - c * c), 1.0 - z
+        rh_by_r = prev * r * (1.0 - r)
+        gz, gr, gc = np.empty_like(z), np.empty_like(z), np.empty_like(z)
+        dh = np.zeros((1, hidden))
+        for t in range(steps - 1, -1, -1):
+            dh = dh + g[t]
+            gz[t] = by_z[t] * dh
+            gc[t] = gct = by_c[t] * dh
+            drh = gct @ uc.data
+            gr[t] = grt = rh_by_r[t] * drh
+            dh = by_h[t] * dh + r[t] * drh + gz[t:t + 1] @ uz.data + grt @ ur.data
+        return (gz @ wz.data + gr @ wr.data + gc @ wc.data, dh,
+                gz.T @ xs, gz.T @ prev, gz.sum(axis=0),
+                gr.T @ xs, gr.T @ prev, gr.sum(axis=0),
+                gc.T @ xs, gc.T @ (r * prev), gc.sum(axis=0))
+
+    return _record("gru", (x, h0, wz, uz, bz, wr, ur, br, wc, uc, bc), out, grad_fn)
 
 
 def sum_rows(x):

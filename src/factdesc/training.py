@@ -37,13 +37,13 @@ from .decoder import (
     slot_embedding,
     vocab_logits,
     copy_logits,
-    _copy_onehot,
     _zero_row,
 )
 from .encoder import EncoderConfig
 from .errors import CheckpointError, ConfigError, DataError, TrainingDivergenceError
 from .metrics import EvalPair, bleu
-from .tensor import AdamState, Tape, Tensor, adam_step, add, backward, embedding_rows, nll
+from .tensor import (AdamState, Tape, Tensor, adam_step, add, backward, concat, embedding_rows,
+                     mul, nll)
 
 log = logging.getLogger(__name__)
 
@@ -119,6 +119,8 @@ class TrainConfig:
                 data = json.load(handle)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: invalid config JSON: {exc.msg}") from exc
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
         return cls.from_dict(data)
 
 
@@ -137,7 +139,8 @@ def step_loss(entity, aligned, params, vocab, config, parts=False):
     ``parts`` is set.  In ``copy_only`` mode the mean-fact slot is
     masked out of attention and tokens aligned to it contribute no loss
     (the restricted model cannot emit them), though the recurrence
-    still advances on their gold feedback.
+    still advances on their gold feedback.  Every GRU input is known
+    from the gold tokens, so each layer runs once over all T steps.
     """
     if aligned.entity_id != entity.id:
         raise DataError(f"alignment for {aligned.entity_id} applied to entity {entity.id}")
@@ -147,12 +150,17 @@ def step_loss(entity, aligned, params, vocab, config, parts=False):
     if config.copy_only:
         mask = mask.copy()
         mask[enc.mean_slot] = False
-    h = _zero_row(dims.hidden_dim)
-    w_prev = _zero_row(dims.embed_dim)
-    v_prev = _zero_row(dims.copy_width)
-    fact_terms = []
-    word_terms = []
-    for token in aligned.tokens:
+    tokens = aligned.tokens
+    steps = len(tokens)
+    copied = np.zeros(steps, dtype=bool)
+    gold = np.full(steps, enc.mean_slot, dtype=np.intp)
+    # step t's feedback is token t-1: its word embedding after a vocabulary
+    # step, its copy position's one-hot after a copy step, zeros at t = 0
+    # (steps without a word gather row 0, and ``fed`` zeroes it)
+    words = np.zeros(steps, dtype=np.intp)
+    fed = np.zeros((steps, 1))
+    onehots = np.zeros((steps, dims.copy_width))
+    for t, token in enumerate(tokens):
         if token.source is Source.FACT:
             if not 0 <= token.fact_index < enc.n_facts:
                 raise DataError(f"entity {entity.id}: aligned fact index "
@@ -160,38 +168,40 @@ def step_loss(entity, aligned, params, vocab, config, parts=False):
             if not 0 <= token.copy_pos < enc.word_counts[token.fact_index]:
                 raise DataError(f"entity {entity.id}: copy position {token.copy_pos} "
                                 f"out of range for fact {token.fact_index}")
-            gold_slot = token.fact_index
-        else:
-            gold_slot = enc.mean_slot
-        scored = not (config.copy_only and token.source is not Source.FACT)
-        if scored:
-            alpha = fact_attention(enc.embeddings, mask, h, params)
-            fact_terms.append(nll(alpha, gold_slot))
-        f_t = slot_embedding(enc.embeddings, gold_slot)
-        h = decoder_step(f_t, w_prev, v_prev, h, params)
-        if token.source is Source.FACT:
-            dist = copy_logits(f_t, h, enc.word_counts[gold_slot], params)
-            word_terms.append(nll(dist, token.copy_pos))
-            v_prev = _copy_onehot(dims.copy_width, token.copy_pos)
-            w_prev = _zero_row(dims.embed_dim)
-        else:
-            if scored:
-                dist = vocab_logits(attention_context(alpha, enc.embeddings), h, params)
-                word_terms.append(nll(dist, token.word_index))
-            w_prev = embedding_rows(params.word_emb, [token.word_index])
-            v_prev = _zero_row(dims.copy_width)
+            copied[t] = True
+            gold[t] = token.fact_index
+            if t + 1 < steps:
+                onehots[t + 1, token.copy_pos] = 1.0
+        elif t + 1 < steps:
+            words[t + 1] = token.word_index
+            fed[t + 1] = 1.0
+    scored = copied if config.copy_only else np.ones(steps, dtype=bool)
+    if not scored.any():
+        zero = Tensor(0.0)
+        return (zero, zero, zero) if parts else zero
 
-    def _total(terms):
-        if not terms:
-            return Tensor(0.0)
-        out = terms[0]
-        for term in terms[1:]:
-            out = add(out, term)
-        return out
-
-    fact_total = _total(fact_terms)
-    word_total = _total(word_terms)
-    total = add(word_total, fact_total) if (fact_terms or word_terms) else Tensor(0.0)
+    h0 = _zero_row(dims.hidden_dim)
+    w_prev = mul(embedding_rows(params.word_emb, words), Tensor(fed))
+    h = decoder_step(slot_embedding(enc.embeddings, gold), w_prev, Tensor(onehots), h0, params)
+    states = concat([h0, h], axis=0)  # h_0..h_T; step t attends from h_t, emits from h_{t+1}
+    rows = np.flatnonzero(scored)
+    alpha = fact_attention(enc.embeddings, mask, embedding_rows(states, rows), params)
+    fact_total = nll(alpha, gold[rows])
+    word_terms = []
+    rows = np.flatnonzero(copied)
+    if rows.size:
+        dist = copy_logits(slot_embedding(enc.embeddings, gold[rows]), embedding_rows(h, rows),
+                           [enc.word_counts[slot] for slot in gold[rows]], params)
+        word_terms.append(nll(dist, [tokens[t].copy_pos for t in rows]))
+    rows = np.flatnonzero(scored & ~copied)
+    if rows.size:
+        # vocabulary steps are scored only when every step is, so alpha's
+        # rows are the step indices
+        context = attention_context(embedding_rows(alpha, rows), enc.embeddings)
+        dist = vocab_logits(context, embedding_rows(h, rows), params)
+        word_terms.append(nll(dist, [tokens[t].word_index for t in rows]))
+    word_total = word_terms[0] if len(word_terms) == 1 else add(*word_terms)
+    total = add(word_total, fact_total)
     if parts:
         return total, fact_total, word_total
     return total

@@ -253,3 +253,42 @@ def test_malformed_config_exits_2(trained, tmp_path, capsys, command, config):
                  "--out", str(tmp_path / "model.fks")]
     assert cli.run(argv) == 2
     assert "config" in capsys.readouterr().err
+
+
+NOT_UTF8 = b"\xff\xfe{\x00}\x00\n\x00"  # UTF-16 with its byte-order mark
+
+
+def test_generate_non_utf8_input_exits_2(trained, tmp_path, capsys):
+    bad = tmp_path / "in.jsonl"
+    bad.write_bytes(NOT_UTF8)
+    assert cli.run(["generate", "--checkpoint", str(trained[3]), "--input", str(bad),
+                    "--out", str(tmp_path / "out.jsonl")]) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    bad = tmp_path / "config.json"
+    bad.write_bytes(NOT_UTF8)
+    assert cli.run(["params", "--config", str(bad)]) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+def test_evaluate_non_utf8_rows_exit_2(tmp_path, capsys):
+    good = tmp_path / "refs.jsonl"
+    good.write_text(json.dumps({"id": "Q1", "text": "a b"}) + "\n")
+    bad = tmp_path / "cands.jsonl"
+    bad.write_bytes(NOT_UTF8)
+    assert cli.run(["evaluate", "--candidates", str(bad), "--references", str(good),
+                    "--out", str(tmp_path / "report.json")]) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_len", ["0", "-4", "two"])
+def test_generate_nonpositive_max_len_is_usage_error(trained, tmp_path, capsys, max_len):
+    inputs = tmp_path / "in.jsonl"
+    toycorpus.write_jsonl(toycorpus.generate_corpus(2, seed=9), inputs)
+    out = tmp_path / "out.jsonl"
+    assert cli.run(["generate", "--checkpoint", str(trained[3]), "--input", str(inputs),
+                    "--out", str(out), "--max-len", max_len]) == 1
+    assert "--max-len" in capsys.readouterr().err
+    assert not out.exists()

@@ -55,9 +55,9 @@ def test_attention_matches_softmax_of_constructed_energies():
     params.attn_energy_w.data[:] = [[4.0]]
     embs = Tensor(np.array([[np.arctanh(0.25)], [np.arctanh(0.5)], [0.7]]))
     h = Tensor(np.zeros((1, 1)))
-    alpha = decoder.fact_attention(embs, np.array([True, True, False]), h, params)
-    assert alpha.data[2] == 0.0
-    assert np.allclose(alpha.data[:2], [0.26894142, 0.73105858], atol=1e-8)
+    alpha = decoder.fact_attention(embs, np.array([True, True, False]), h, params).data[0]
+    assert alpha[2] == 0.0
+    assert np.allclose(alpha[:2], [0.26894142, 0.73105858], atol=1e-8)
 
 
 def test_attention_rows_are_valid_distributions():
@@ -71,7 +71,7 @@ def test_attention_rows_are_valid_distributions():
             mask[0] = True
         embs = Tensor(rng.normal(size=(n, 3)))
         h = Tensor(rng.normal(size=(1, 3)))
-        alpha = decoder.fact_attention(embs, mask, h, params).data
+        alpha = decoder.fact_attention(embs, mask, h, params).data[0]
         assert abs(alpha.sum() - 1.0) < 1e-12
         assert (alpha[~mask] == 0.0).all()
 
@@ -138,6 +138,44 @@ def test_decoder_step_gradients_match_finite_differences():
     assert grad_check(f, gru) < 1e-6
 
 
+def test_decoder_step_rows_equal_chained_single_steps():
+    dims = tiny_dims()
+    rng = np.random.default_rng(17)
+    for steps in range(1, 7):
+        params = DecoderParams(dims, rng=np.random.default_rng(50 + steps))
+        f, w, v = (rng.normal(size=(steps, n)) for n in (3, 3, 4))
+        h0 = Tensor(rng.normal(size=(1, 3)))
+        rows = decoder.decoder_step(Tensor(f), Tensor(w), Tensor(v), h0, params).data
+        assert rows.shape == (steps, 3)
+        state = h0
+        for t in range(steps):
+            state = decoder.decoder_step(Tensor(f[t:t + 1]), Tensor(w[t:t + 1]),
+                                         Tensor(v[t:t + 1]), state, params)
+            assert np.allclose(rows[t], state.data[0], rtol=0.0, atol=1e-12)
+
+
+def test_heads_and_attention_rows_equal_single_row_calls():
+    dims = tiny_dims()
+    params = DecoderParams(dims, rng=np.random.default_rng(18))
+    rng = np.random.default_rng(19)
+    f, h = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+    embs = Tensor(rng.normal(size=(4, 3)))
+    mask = np.array([True, False, True, True])
+    counts = [1, 4, 2, 3, 4]
+    alpha = decoder.fact_attention(embs, mask, Tensor(h), params).data
+    vocab = decoder.vocab_logits(Tensor(f), Tensor(h), params).data
+    copy = decoder.copy_logits(Tensor(f), Tensor(h), counts, params).data
+    for t in range(5):
+        one_f, one_h = Tensor(f[t:t + 1]), Tensor(h[t:t + 1])
+        assert np.allclose(alpha[t], decoder.fact_attention(embs, mask, one_h, params).data[0],
+                           rtol=0.0, atol=1e-15)
+        assert np.allclose(vocab[t], decoder.vocab_logits(one_f, one_h, params).data[0],
+                           rtol=0.0, atol=1e-15)
+        assert np.allclose(copy[t], decoder.copy_logits(one_f, one_h, counts[t], params).data[0],
+                           rtol=0.0, atol=1e-15)
+        assert (copy[t, counts[t]:] == 0.0).all()
+
+
 def test_vocab_head_uniform_when_output_weights_zero():
     dims = tiny_dims()
     params = zeroed_params(dims)
@@ -166,8 +204,8 @@ def test_copy_head_single_word_is_certain():
     dims = tiny_dims()
     params = DecoderParams(dims, rng=np.random.default_rng(13))
     dist = decoder.copy_logits(Tensor(np.ones((1, 3))), Tensor(np.ones((1, 3))), 1, params)
-    assert dist.data[0] == 1.0
-    assert np.allclose(dist.data[1:], 0.0)
+    assert dist.data[0, 0] == 1.0
+    assert np.allclose(dist.data[0, 1:], 0.0)
 
 
 def test_copy_head_uniform_when_weights_zero():

@@ -68,6 +68,78 @@ def test_masked_softmax_all_masked_rejected():
         T.masked_softmax(T.Tensor([1.0, 2.0]), np.array([False, False]))
 
 
+def test_masked_softmax_rows_with_per_row_masks():
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(5, 7)) * 5
+    mask = rng.uniform(size=(5, 7)) < 0.5
+    mask[np.arange(5), rng.integers(0, 7, 5)] = True
+    p = T.masked_softmax(T.Tensor(x), mask).data
+    for row, row_mask, out in zip(x, mask, p):
+        assert np.array_equal(out, T.masked_softmax(T.Tensor(row), row_mask).data)
+    shared = T.masked_softmax(T.Tensor(x), mask[0]).data
+    for row, out in zip(x, shared):
+        assert np.array_equal(out, T.masked_softmax(T.Tensor(row), mask[0]).data)
+    dead = mask.copy()
+    dead[3] = False
+    with pytest.raises(InvalidMaskError):
+        T.masked_softmax(T.Tensor(x), dead)
+    for bad in (mask[:, :6], mask[:4], mask[None]):
+        with pytest.raises(ShapeError):
+            T.masked_softmax(T.Tensor(x), bad)
+
+
+def test_nll_over_rows_sums_and_scatters():
+    rng = np.random.default_rng(10)
+    p = T.Tensor(rng.dirichlet(np.ones(4), size=3), requires_grad=True)
+    gold = [2, 0, 2]
+    with T.Tape() as tape:
+        loss = T.nll(p, gold)
+    assert float(loss.data) == pytest.approx(
+        -sum(np.log(p.data[i, g]) for i, g in enumerate(gold)), rel=1e-15)
+    T.backward(loss, tape)
+    expected = np.zeros((3, 4))
+    for i, g in enumerate(gold):
+        expected[i, g] = -1.0 / p.data[i, g]
+    assert np.array_equal(p.grad, expected)
+    with pytest.raises(ShapeError):
+        T.nll(p, [0, 1])
+
+
+def test_pair_rows_is_query_major():
+    keys = T.Tensor(np.arange(6.0).reshape(3, 2))
+    queries = T.Tensor(-np.arange(4.0).reshape(2, 2))
+    pairs = T.pair_rows(keys, queries).data
+    assert pairs.shape == (6, 4)
+    for t in range(2):
+        for s in range(3):
+            assert np.array_equal(pairs[t * 3 + s], np.r_[keys.data[s], queries.data[t]])
+
+
+@pytest.mark.parametrize("steps", range(1, 7))
+def test_gru_gradients_match_finite_differences(steps):
+    # all 11 inputs, including a random initial state
+    rng = np.random.default_rng(300 + steps)
+    n_in, hidden = 4, 3
+    params = _random_params(rng, (steps, n_in), (1, hidden),
+                            *[(hidden, n_in), (hidden, hidden), (hidden,)] * 3)
+    weights = T.Tensor(rng.normal(size=(steps, hidden)))
+
+    def f(ps):
+        return T.sum_all(T.mul(T.gru(*ps), weights))
+
+    assert T.grad_check(f, params) < 1e-6
+    assert all(p.grad is not None and np.abs(p.grad).max() > 0 for p in params)
+
+
+def test_gru_rejects_mismatched_shapes():
+    rng = np.random.default_rng(11)
+    weights = _random_params(rng, *[(3, 4), (3, 3), (3,)] * 3)
+    with pytest.raises(ShapeError):
+        T.gru(T.Tensor(np.zeros((2, 5))), T.Tensor(np.zeros((1, 3))), *weights)
+    with pytest.raises(ShapeError):
+        T.gru(T.Tensor(np.zeros((2, 4))), T.Tensor(np.zeros((2, 3))), *weights)
+
+
 def test_backward_sum_gives_ones():
     x = T.Tensor([1.0, 2.0, 3.0], requires_grad=True)
     with T.Tape() as tape:
@@ -185,6 +257,9 @@ def test_grad_check_every_primitive(seed):
     mask[: max(1, n // 2)] = True
     idx = rng.integers(0, 5, size=3)
     weights = _random_params(rng, (n, m))[0]
+    row_mask = rng.uniform(size=(n, m)) < 0.6
+    row_mask[:, 0] = True
+    gold = np.zeros(n, dtype=int)
 
     cases = {
         "add": (lambda ps: T.sum_all(T.add(ps[0], ps[0])), [a]),
@@ -194,12 +269,15 @@ def test_grad_check_every_primitive(seed):
         "concat": (lambda ps: T.sum_all(T.mul(c := T.concat(ps, axis=0), c)),
                    _random_params(rng, (2, m), (3, m))),
         "tanh": (lambda ps: T.sum_all(T.tanh(ps[0])), [vec]),
-        "sigmoid": (lambda ps: T.sum_all(T.sigmoid(ps[0])), [vec]),
         "masked_softmax": (lambda ps: T.nll(T.masked_softmax(ps[0], mask), 0), [vec]),
+        "masked_softmax rows": (lambda ps: T.nll(T.masked_softmax(ps[0], row_mask), gold),
+                                [weights]),
         "embedding_rows": (lambda ps: T.sum_all(T.mul(e := T.embedding_rows(ps[0], idx), e)),
                            [table]),
-        "gate_blend": (lambda ps: T.sum_all(T.gate_blend(T.sigmoid(ps[0]), ps[1], ps[2])),
-                       _random_params(rng, (n, m), (n, m), (n, m))),
+        "pair_rows": (lambda ps: T.sum_all(T.mul(q := T.pair_rows(ps[0], ps[1]), q)),
+                      _random_params(rng, (m, k), (n, 2))),
+        "gru": (lambda ps: T.sum_all(T.mul(g := T.gru(*ps), g)),
+                _random_params(rng, (n, k), (1, m), *[(m, k), (m, m), (m,)] * 3)),
         "sum_rows": (lambda ps: T.sum_all(T.mul(s := T.sum_rows(ps[0]), s)), [a]),
         "reshape": (lambda ps: T.sum_all(T.mul(r := T.reshape(ps[0], (k, n)), r)), [a]),
     }
