@@ -83,19 +83,13 @@ class Fact:
         return f"{' '.join(self.property_tokens)}: {' '.join(self.value_tokens)}"
 
 
-def extract_factual_words(value_tokens, max_factual_words=DEFAULT_MAX_FACTUAL_WORDS,
-                          stopwords=STOPWORDS):
+def extract_factual_words(value_tokens, max_factual_words=DEFAULT_MAX_FACTUAL_WORDS):
     """Order-preserving stopword filter over value tokens.
 
     Duplicates are kept so copy positions stay well defined.
     """
-    kept = [w for w in value_tokens if w not in stopwords]
+    kept = [w for w in value_tokens if w not in STOPWORDS]
     return kept[:max_factual_words]
-
-
-def factual_words(fact, stopwords=STOPWORDS):
-    """Factual words of a fact under an explicit stopword list."""
-    return extract_factual_words(fact.value_tokens, stopwords=stopwords)
 
 
 @dataclass

@@ -7,10 +7,17 @@ elementwise by the column l_j with
     l[k, j] = (1 - j/J) - (k/d) * (1 - 2*j/J),   k, j 1-indexed,
 
 so early and late phrase positions project into different embedding
-subspaces; ``mean_pool`` mode replaces this with a plain average.  The
-mean of all fact embeddings is appended as one extra slot (the phantom
-fact that generates vocabulary words), so an entity with N facts exposes
-exactly N + 1 slots.
+subspaces; ``mean_pool`` mode replaces this with a plain average (every
+weight 1/J).  The mean of all fact embeddings is appended as one extra
+slot (the phantom fact that generates vocabulary words), so an entity
+with N facts exposes exactly N + 1 slots.
+
+An entity is encoded in one pass in either mode: one gather of all its
+phrase words, one product with the stacked (J, d) weight blocks, one sum
+per fact's run of rows.  The runs are summed one by one, not by a GEMM
+with a 0/1 segment matrix, whose summation order depends on where a run
+sits: facts with the same words must tie exactly, as attention breaks
+ties toward the lower slot.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 
 from .corpus import DEFAULT_MAX_FACTS
 from .errors import ConfigError
-from .tensor import Tensor, concat, embedding_rows, matmul, mul, sum_rows
+from .tensor import Tensor, concat, embedding_rows, matmul, mul, segment_sum
 
 ENCODING_MODES = ("positional", "mean_pool")
 MEAN_FACT_MODES = ("mean", "fixed_random")
@@ -75,14 +82,11 @@ def positional_weights(phrase_len, dim):
 
 
 @lru_cache(maxsize=None)
-def _positional_rows(phrase_len, dim):
+def _weight_block(phrase_len, dim, encoding):
     # (J, d) constant, one row of weights per phrase position
-    return Tensor(positional_weights(phrase_len, dim).T)
-
-
-@lru_cache(maxsize=None)
-def _inverse(n):
-    return Tensor(1.0 / n)
+    if encoding == "positional":
+        return positional_weights(phrase_len, dim).T
+    return np.full((phrase_len, dim), 1.0 / phrase_len)
 
 
 @lru_cache(maxsize=None)
@@ -96,29 +100,24 @@ def fixed_mean_vector(rng, dim):
     return rng.uniform(-bound, bound, size=(1, dim))
 
 
-def encode_fact(fact, word_embeddings, vocab, cfg):
-    """One fact phrase -> one (1, d) embedding.
-
-    Phrase words outside the vocabulary fall back to the ``<UNK>``
-    embedding; phrases are truncated to ``cfg.max_phrase_len`` words.
-    """
-    phrase = fact.phrase()[: cfg.max_phrase_len]
-    if not phrase:
-        raise ConfigError("cannot encode a fact with an empty phrase")
-    emb = embedding_rows(word_embeddings, vocab.indices(phrase))
-    if cfg.encoding == "positional":
-        return sum_rows(mul(emb, _positional_rows(len(phrase), cfg.embedding_dim)))
-    return mul(sum_rows(emb), _inverse(len(phrase)))
-
-
 def encode_entity(entity, word_embeddings, vocab, cfg, max_facts=DEFAULT_MAX_FACTS,
                   fixed_mean=None):
-    """The first ``max_facts`` fact embeddings plus the mean-fact slot."""
+    """The first ``max_facts`` fact embeddings plus the mean-fact slot.
+
+    Phrases are cut to ``cfg.max_phrase_len`` words; unknown words read ``<UNK>``.
+    """
     facts = entity.facts[:max_facts]
     n = len(facts)
     if n == 0:
         raise ConfigError(f"entity {entity.id} has no facts to encode")
-    stacked = concat([encode_fact(f, word_embeddings, vocab, cfg) for f in facts], axis=0)
+    phrases = [f.phrase()[: cfg.max_phrase_len] for f in facts]
+    lengths = [len(p) for p in phrases]
+    if 0 in lengths:
+        raise ConfigError(f"entity {entity.id}: cannot encode a fact with an empty phrase")
+    words = embedding_rows(word_embeddings, vocab.indices([w for p in phrases for w in p]))
+    weights = np.concatenate([_weight_block(j, cfg.embedding_dim, cfg.encoding)
+                              for j in lengths])
+    stacked = segment_sum(mul(words, Tensor(weights)), lengths)
     if cfg.mean_fact == "mean":
         mean_row = matmul(_mean_weights(n), stacked)
     else:

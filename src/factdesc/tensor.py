@@ -345,15 +345,21 @@ def gru(x, h0, wz, uz, bz, wr, ur, br, wc, uc, bc):
     return _record("gru", (x, h0, wz, uz, bz, wr, ur, br, wc, uc, bc), out, grad_fn)
 
 
-def sum_rows(x):
-    """Sum a 2-D tensor over rows, keeping a (1, n) result."""
-    out = Tensor(x.data.sum(axis=0, keepdims=True))
-    shape = x.data.shape
+def segment_sum(x, lengths):
+    """Sum each run of ``lengths[i]`` consecutive rows of ``x``, in row order.
+
+    The runs must cover the rows, each at least one row long; runs holding
+    the same rows give bit-equal sums wherever they sit.
+    """
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.ndim != 1 or lengths.sum() != x.data.shape[0] or (lengths < 1).any():
+        raise ShapeError(f"segment_sum runs {lengths.tolist()} do not split {len(x.data)} rows")
+    out = Tensor(np.add.reduceat(x.data, np.cumsum(lengths) - lengths, axis=0))
 
     def grad_fn(g):
-        return (np.broadcast_to(g, shape),)
+        return (np.repeat(g, lengths, axis=0),)
 
-    return _record("sum_rows", (x,), out, grad_fn)
+    return _record("segment_sum", (x,), out, grad_fn)
 
 
 def sum_all(x):

@@ -79,10 +79,10 @@ class TrainConfig:
     def __post_init__(self):
         positive = ("epochs", "learning_rate", "batch_size", "max_facts",
                     "max_factual_words", "vocab_size", "embed_dim", "hidden_dim",
-                    "attn_dim", "head_dim", "max_decode_len")
+                    "attn_dim", "head_dim", "max_decode_len", "grad_clip")
         for name in positive:
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            if (value := getattr(self, name)) is not None and not 0 < value < np.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         self.encoder_config()  # validates the mode names
 
     def dims(self):

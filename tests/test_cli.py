@@ -255,6 +255,16 @@ def test_malformed_config_exits_2(trained, tmp_path, capsys, command, config):
     assert "config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ['{"learning_rate": NaN}', '{"learning_rate": Infinity}',
+                                  '{"grad_clip": 0}', '{"grad_clip": -1.0}',
+                                  '{"grad_clip": -Infinity}'])
+def test_nonpositive_or_nonfinite_config_floats_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert cli.run(["params", "--config", str(path)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 NOT_UTF8 = b"\xff\xfe{\x00}\x00\n\x00"  # UTF-16 with its byte-order mark
 
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factdesc import corpus, encoder
 from factdesc.encoder import EncoderConfig, positional_weights
 from factdesc.errors import ConfigError
-from factdesc.tensor import Tensor
+from factdesc.tensor import Tape, Tensor, backward, mul, sum_all
 
 
 def test_positional_weights_single_word_column():
@@ -58,6 +60,12 @@ def _vocab(words):
     return corpus.Vocabulary(["<UNK>", "<SOS>", "<EOS>"] + words)
 
 
+def _encode_one(fact, table, vocab, cfg):
+    """The fact's slot row of a one-fact entity."""
+    enc = encoder.encode_entity(corpus.Entity("Q1", [fact], None), table, vocab, cfg)
+    return enc.embeddings.data[:1]
+
+
 def test_encode_fact_single_word_positional():
     vocab = _vocab(["street"])
     d = 4
@@ -65,8 +73,8 @@ def test_encode_fact_single_word_positional():
     table.data[vocab.word_index("street")] = [1.0, 1.0, 1.0, 1.0]
     cfg = EncoderConfig(embedding_dim=d)
     fact = corpus.Fact(["street"], [], [])  # single-word phrase
-    out = encoder.encode_fact(fact, table, vocab, cfg)
-    assert np.allclose(out.data, [[0.25, 0.5, 0.75, 1.0]])
+    out = _encode_one(fact, table, vocab, cfg)
+    assert np.allclose(out, [[0.25, 0.5, 0.75, 1.0]])
 
 
 def test_encode_fact_mean_pool_of_identical_embeddings():
@@ -77,8 +85,8 @@ def test_encode_fact_mean_pool_of_identical_embeddings():
     table.data[vocab.word_index("sky")] = [1.0, 2.0, 3.0]
     cfg = EncoderConfig(embedding_dim=d, encoding="mean_pool")
     fact = corpus.Fact(["blue"], ["sky"], ["sky"])
-    out = encoder.encode_fact(fact, table, vocab, cfg)
-    assert np.allclose(out.data, [[1.0, 2.0, 3.0]])
+    out = _encode_one(fact, table, vocab, cfg)
+    assert np.allclose(out, [[1.0, 2.0, 3.0]])
 
 
 def test_encode_fact_mean_pool_opposite_embeddings_cancel():
@@ -89,8 +97,8 @@ def test_encode_fact_mean_pool_opposite_embeddings_cancel():
     table.data[vocab.word_index("cold")] = [-1.0, 2.0]
     cfg = EncoderConfig(embedding_dim=d, encoding="mean_pool")
     fact = corpus.Fact(["hot"], ["cold"], ["cold"])
-    out = encoder.encode_fact(fact, table, vocab, cfg)
-    assert np.allclose(out.data, [[0.0, 0.0]])
+    out = _encode_one(fact, table, vocab, cfg)
+    assert np.allclose(out, [[0.0, 0.0]])
 
 
 def test_encode_fact_unknown_words_use_unk_embedding():
@@ -100,8 +108,8 @@ def test_encode_fact_unknown_words_use_unk_embedding():
     table.data[0] = [5.0, 5.0]  # <UNK>
     cfg = EncoderConfig(embedding_dim=d, encoding="mean_pool")
     fact = corpus.Fact(["mystery"], ["word"], ["word"])
-    out = encoder.encode_fact(fact, table, vocab, cfg)
-    assert np.allclose(out.data, [[5.0, 5.0]])
+    out = _encode_one(fact, table, vocab, cfg)
+    assert np.allclose(out, [[5.0, 5.0]])
 
 
 def _two_fact_entity():
@@ -172,6 +180,13 @@ def test_encode_entity_rejects_zero_facts():
                               EncoderConfig(embedding_dim=2))
 
 
+def test_encode_entity_rejects_an_empty_phrase():
+    vocab, table = _entity_setup()
+    entity = corpus.Entity("Q", [corpus.Fact(["a"], [], []), corpus.Fact([], [], [])], None)
+    with pytest.raises(ConfigError, match="empty phrase"):
+        encoder.encode_entity(entity, table, vocab, EncoderConfig(embedding_dim=2))
+
+
 def test_encode_entity_permutation_covariant():
     rng = np.random.default_rng(21)
     vocab = _vocab(["a", "b", "c", "d", "e"])
@@ -188,3 +203,79 @@ def test_encode_entity_permutation_covariant():
     for new_row, old_row in enumerate(perm):
         assert np.allclose(enc_perm.embeddings.data[new_row], enc.embeddings.data[old_row])
     assert np.allclose(enc_perm.embeddings.data[3], enc.embeddings.data[3], atol=1e-12)
+
+
+def _oracle(entity, table, vocab, cfg, max_facts, fixed_mean, coeffs):
+    """Slot rows and the gradient of sum(coeffs * rows) into the word table, fact by fact.
+
+    Written in plain numpy from ``positional_weights``: a fact's row is
+    its phrase's word embeddings weighted by column j of the weights (or
+    by 1/J when mean pooling) and summed.
+    """
+    facts = entity.facts[:max_facts]
+    rows, grad = [], np.zeros_like(table.data)
+    mean_coeff = coeffs[len(facts)] / len(facts) if cfg.mean_fact == "mean" else 0.0
+    for i, fact in enumerate(facts):
+        phrase = fact.phrase()[: cfg.max_phrase_len]
+        emb = table.data[vocab.indices(phrase)]
+        if cfg.encoding == "positional":
+            weights = positional_weights(len(phrase), cfg.embedding_dim).T
+        else:
+            weights = np.full(emb.shape, 1.0 / len(phrase))
+        rows.append((emb * weights).sum(axis=0))
+        np.add.at(grad, vocab.indices(phrase), (coeffs[i] + mean_coeff) * weights)
+    mean = np.mean(rows, axis=0) if cfg.mean_fact == "mean" else fixed_mean[0]
+    return np.array(rows + [mean]), grad
+
+
+_WORD = st.sampled_from(["a", "b", "c", "d", "e", "f", "g", "h", "zz", "qq"])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**16), n_known=st.integers(0, 8),
+       phrases=st.lists(st.tuples(st.lists(_WORD, min_size=1, max_size=5),
+                                  st.lists(_WORD, max_size=5)), min_size=1, max_size=7),
+       dim=st.integers(1, 6), encoding=st.sampled_from(encoder.ENCODING_MODES),
+       mean_fact=st.sampled_from(encoder.MEAN_FACT_MODES),
+       max_facts=st.integers(1, 7), max_phrase_len=st.integers(1, 10))
+def test_encode_entity_equals_per_fact_oracle(seed, n_known, phrases, dim, encoding, mean_fact,
+                                              max_facts, max_phrase_len):
+    rng = np.random.default_rng(seed)
+    vocab = _vocab(["a", "b", "c", "d", "e", "f", "g", "h"][:n_known])
+    table = Tensor(rng.normal(size=(len(vocab), dim)), requires_grad=True)
+    cfg = EncoderConfig(embedding_dim=dim, encoding=encoding, mean_fact=mean_fact,
+                        max_phrase_len=max_phrase_len)
+    entity = corpus.Entity("Q", [corpus.Fact(p, v, []) for p, v in phrases], None)
+    frozen = Tensor(encoder.fixed_mean_vector(rng, dim))
+    n = min(len(phrases), max_facts)
+    coeffs = rng.normal(size=(n + 1, dim))
+    with Tape() as tape:
+        enc = encoder.encode_entity(entity, table, vocab, cfg, max_facts, fixed_mean=frozen)
+        loss = sum_all(mul(enc.embeddings, Tensor(coeffs)))
+    backward(loss, tape)
+    rows, grad = _oracle(entity, table, vocab, cfg, max_facts, frozen.data, coeffs)
+    assert enc.embeddings.data.shape == rows.shape
+    assert np.abs(enc.embeddings.data - rows).max() <= 1e-12 * np.abs(rows).max()
+    assert (np.abs(table.grad - grad) / np.maximum(1.0, np.abs(grad))).max() <= 1e-10
+
+
+def test_identical_phrases_give_bit_equal_rows():
+    # attention breaks ties toward the lowest slot, so two facts that read
+    # the same words must encode to exactly the same row wherever they sit
+    rng = np.random.default_rng(5)
+    words = [f"w{i}" for i in range(12)]
+    vocab = _vocab(words)
+    long = corpus.Fact(words[:3], words[3:12], [])  # 12 words
+    mid = corpus.Fact(["w1", "w0"], ["w5", "w7", "w7", "w2", "w9", "w4"], [])  # 8 words
+    short = corpus.Fact(["w3"], ["w8", "w1"], [])
+    facts = [long, short, mid, long, mid, short, short, long, mid, mid, long]
+    entity = corpus.Entity("Q", facts, None)
+    for dim in (7, 64, 100):
+        table = Tensor(rng.normal(size=(len(vocab), dim)))
+        for encoding in encoder.ENCODING_MODES:
+            cfg = EncoderConfig(embedding_dim=dim, encoding=encoding)
+            rows = encoder.encode_entity(entity, table, vocab, cfg, max_facts=20).embeddings.data
+            for fact in (long, mid, short):
+                same = [i for i, f in enumerate(facts) if f is fact]
+                for i in same[1:]:
+                    assert np.array_equal(rows[i], rows[same[0]]), (dim, encoding, i)

@@ -238,6 +238,14 @@ def test_grad_check_constant_function():
     assert T.grad_check(f, [x]) == 0.0
 
 
+def _ragged_runs(n):
+    """Runs of 1, 2, 3, ... rows covering n rows, the last one cut short."""
+    runs = []
+    while sum(runs) < n:
+        runs.append(min(len(runs) + 1, n - sum(runs)))
+    return runs
+
+
 def _random_params(rng, *shapes):
     return [T.Tensor(rng.uniform(-1.0, 1.0, s), requires_grad=True) for s in shapes]
 
@@ -260,6 +268,7 @@ def test_grad_check_every_primitive(seed):
     row_mask = rng.uniform(size=(n, m)) < 0.6
     row_mask[:, 0] = True
     gold = np.zeros(n, dtype=int)
+    runs = _ragged_runs(n)
 
     cases = {
         "add": (lambda ps: T.sum_all(T.add(ps[0], ps[0])), [a]),
@@ -278,12 +287,24 @@ def test_grad_check_every_primitive(seed):
                       _random_params(rng, (m, k), (n, 2))),
         "gru": (lambda ps: T.sum_all(T.mul(g := T.gru(*ps), g)),
                 _random_params(rng, (n, k), (1, m), *[(m, k), (m, m), (m,)] * 3)),
-        "sum_rows": (lambda ps: T.sum_all(T.mul(s := T.sum_rows(ps[0]), s)), [a]),
+        "segment_sum": (lambda ps: T.sum_all(T.mul(s := T.segment_sum(ps[0], runs), s)), [a]),
         "reshape": (lambda ps: T.sum_all(T.mul(r := T.reshape(ps[0], (k, n)), r)), [a]),
     }
     for name, (fn, params) in cases.items():
         err = T.grad_check(fn, params)
         assert err < 1e-6, f"{name}: max relative error {err}"
+
+
+def test_segment_sum_sums_each_run():
+    x = T.Tensor(np.arange(12.0).reshape(6, 2))
+    assert np.array_equal(T.segment_sum(x, [1, 3, 2]).data, [[0, 1], [12, 15], [18, 20]])
+    assert np.array_equal(T.segment_sum(x, [6]).data, [[30, 36]])
+
+
+@pytest.mark.parametrize("runs", [[1, 3, 1], [2, 3, 2], [3, 0, 3], [6, 0], [-1, 7], [], [[6]]])
+def test_segment_sum_rejects_runs_that_do_not_split_the_rows(runs):
+    with pytest.raises(ShapeError):
+        T.segment_sum(T.Tensor(np.ones((6, 2))), runs)
 
 
 def test_embedding_rows_accumulates_duplicate_indices():

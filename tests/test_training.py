@@ -45,6 +45,16 @@ def test_config_rejects_nonpositive_values():
         TrainConfig(epochs=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("grad_clip", 0.0), ("grad_clip", -1.0), ("grad_clip", float("nan")),
+    ("grad_clip", float("inf")), ("learning_rate", float("nan")),
+    ("learning_rate", float("inf")),
+])
+def test_config_rejects_nonpositive_or_nonfinite_floats(field, value):
+    with pytest.raises(ConfigError, match=field):
+        TrainConfig(**{field: value})
+
+
 def _uniform_loss_fixture():
     config = tiny_config(vocab_size=5)  # |V| = 8 with specials
     entity = corpus.Entity(
