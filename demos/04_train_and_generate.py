@@ -1,6 +1,6 @@
 """Train on the bundled sample corpus and decode held-out entities.
 
-Takes a bit over a minute on one core (12 epochs over 1,000 entities).
+Takes about 10 s on one core (12 epochs over 1,000 entities).
 Run:  python3 demos/04_train_and_generate.py
 """
 

@@ -5,7 +5,7 @@ one entity: rows are emitted tokens, columns the entity's facts plus
 the MEAN slot.  A healthy model puts each copied token's mass on the
 fact it came from and moves to MEAN for function words and <EOS>.
 
-Takes under a minute on one core.
+Takes about 3 s on one core.
 Run:  python3 demos/06_attention_matrix.py
 """
 

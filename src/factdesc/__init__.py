@@ -29,6 +29,7 @@ from .corpus import (
 from .decoder import (
     DecoderParams,
     ModelDims,
+    attention_keys,
     copy_logits,
     decoder_step,
     fact_attention,

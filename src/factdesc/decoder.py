@@ -21,16 +21,16 @@ from .encoder import encode_entity, fixed_mean_vector
 from .errors import ConfigError, EmptyFactError, ShapeError
 from .tensor import (
     Tensor,
+    additive_energies,
     affine,
     concat,
     embedding_rows,
+    getitem,
     gru,
     masked_softmax,
     matmul,
-    pair_rows,
     relu,
     reshape,
-    tanh,
 )
 
 
@@ -170,17 +170,32 @@ def _all_true(n):
     return np.ones(n, dtype=bool)
 
 
-# Every layer below takes T rows, one per decoding step: teacher-forced
-# training calls each once per entity with all its steps, greedy decoding
-# once per step with one row.
+# Every layer below takes T rows, one per decoding step: greedy decoding
+# calls each once per step with one row, teacher-forced training once per
+# minibatch with the B entities' steps padded to (B, T) where needed.
 
-def fact_attention(fact_embs, mask, h_prev, params):
-    """Attention distributions over the entity's slots, one row per row of h_{t-1}."""
-    steps, slots = h_prev.data.shape[0], fact_embs.data.shape[0]
-    hidden = tanh(affine(pair_rows(fact_embs, h_prev),
-                         params.attn_hidden_w, params.attn_hidden_b))
-    energies = affine(hidden, params.attn_energy_w, params.attn_energy_b)
-    return masked_softmax(reshape(energies, (steps, slots)), mask)
+def attention_keys(slots, params):
+    """Slots (S, d) projected once by the fact columns W_f of ``attn_hidden_w``."""
+    fact_cols = getitem(params.attn_hidden_w, np.s_[:, : params.dims.embed_dim])
+    return affine(slots, fact_cols, params.attn_hidden_b)
+
+
+def fact_attention(keys, mask, states, params):
+    """Attention distributions over the slots, one row per state h_{t-1}.
+
+    ``keys`` (S, a) from :func:`attention_keys`, ``mask`` (S,) and ``states``
+    (T, H) give (T, S); for a batch, (B * S, a), (B, S) and (B, T, H) give
+    (B * T, S).  The states are projected once and broadcast-added to the keys.
+    """
+    dims = params.dims
+    state_cols = getitem(params.attn_hidden_w, np.s_[:, dims.embed_dim:])
+    queries = affine(reshape(states, (-1, dims.hidden_dim)), state_cols)
+    lead = states.shape[:-1]  # (T,) or (B, T)
+    energies = additive_energies(reshape(keys, lead[:-1] + (-1, dims.attn_dim)),
+                                 reshape(queries, lead + (dims.attn_dim,)),
+                                 params.attn_energy_w, params.attn_energy_b)
+    rows = np.repeat(mask, lead[-1], axis=0) if np.ndim(mask) == 2 else mask
+    return masked_softmax(reshape(energies, (-1, energies.shape[-1])), rows)
 
 
 def select_fact(alpha):
@@ -189,18 +204,19 @@ def select_fact(alpha):
 
 
 def slot_embedding(fact_embs, slots):
-    """Rows of the slot matrix, (T, d), for one slot index or a sequence of T."""
-    return embedding_rows(fact_embs, np.asarray(slots, dtype=np.intp).reshape(-1))
+    """Rows of the slot matrix: (1, d) for one index, else ``slots.shape + (d,)``."""
+    idx = np.asarray(slots, dtype=np.intp)
+    return embedding_rows(fact_embs, idx.reshape(-1) if idx.ndim < 2 else idx)
 
 
 def attention_context(alpha, fact_embs):
-    """Attention-weighted mix of all slots per row (the vocabulary head's input)."""
+    """Attention-weighted mix of all slots per row: (T, S) by (S, d), or (B, T, S) by (B, S, d)."""
     return matmul(alpha, fact_embs)
 
 
 def decoder_step(f, w_prev, v_prev, h0, params):
     """GRU states h_1..h_T from the input rows [f_t; w_{t-1}; v_{t-1}] and h_0."""
-    return gru(concat([f, w_prev, v_prev], axis=1), h0,
+    return gru(concat([f, w_prev, v_prev], axis=-1), h0,
                params.gru_update_x, params.gru_update_h, params.gru_update_b,
                params.gru_reset_x, params.gru_reset_h, params.gru_reset_b,
                params.gru_cand_x, params.gru_cand_h, params.gru_cand_b)
@@ -230,10 +246,10 @@ def copy_logits(f, h, n_words, params):
     return masked_softmax(scores, np.arange(width) < counts[..., None])
 
 
-def _select_live_slot(enc, mask, h_prev, params):
+def _select_live_slot(enc, keys, mask, h_prev, params):
     """Attend and pick a slot, masking out facts with nothing to copy."""
     while mask.any():
-        alpha = fact_attention(enc.embeddings, mask, h_prev, params)
+        alpha = fact_attention(keys, mask, h_prev, params)
         slot = select_fact(alpha)
         if slot != enc.mean_slot and enc.word_counts[slot] == 0:
             mask[slot] = False
@@ -254,6 +270,7 @@ def greedy_decode(entity, params, vocab, enc_cfg, max_facts, max_len,
     factual words can be emitted and decoding runs until ``max_len``.
     """
     enc = params.encode(entity, vocab, enc_cfg, max_facts)
+    keys = attention_keys(enc.embeddings, params)
     mask = enc.mask.copy()
     if copy_only:
         mask[enc.mean_slot] = False
@@ -264,7 +281,7 @@ def greedy_decode(entity, params, vocab, enc_cfg, max_facts, max_len,
     tokens = []
     trace = []
     for _ in range(max_len):
-        selected = _select_live_slot(enc, mask, h, params)
+        selected = _select_live_slot(enc, keys, mask, h, params)
         if selected is None:
             break
         alpha, slot = selected

@@ -5,8 +5,8 @@ here.  Recording is explicit: an operation appends a node to the
 innermost active ``Tape`` only when at least one input requires
 gradients, so inference code that runs outside a tape pays nothing for
 bookkeeping.  ``backward`` replays a tape once in reverse and
-accumulates into ``Tensor.grad``, which lets a trainer sum gradients
-over a minibatch before taking an optimizer step.
+accumulates into ``Tensor.grad``; a trainer records a whole minibatch on
+one tape, with a leading batch axis where a layer needs one.
 
 All arithmetic is double precision; checkpoints downcast to float32 on
 disk (see :mod:`factdesc.training`).
@@ -137,17 +137,19 @@ def mul(a, b):
 
 
 def matmul(a, b):
-    """Matrix product; accepts 2-D operands or a 1-D vector on either side."""
+    """Matrix product of 2-D operands, a 1-D vector on either side, or two
+    stacks of matrices (B, n, k) and (B, k, m)."""
     ad, bd = a.data, b.data
-    if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
+    stacked = ad.ndim == bd.ndim == 3 and ad.shape[0] == bd.shape[0]
+    if not stacked and (ad.ndim not in (1, 2) or bd.ndim not in (1, 2)):
         raise ShapeError(f"matmul needs 1-D or 2-D operands, got {ad.shape} and {bd.shape}")
-    if ad.shape[-1] != (bd.shape[0] if bd.ndim > 0 else -1):
+    if ad.shape[-1] != bd.shape[-2 if bd.ndim > 1 else 0]:
         raise ShapeError(f"matmul shapes {ad.shape} and {bd.shape} do not agree")
     out = Tensor(ad @ bd)
 
     def grad_fn(g):
-        if ad.ndim == 2 and bd.ndim == 2:
-            return g @ bd.T, ad.T @ g
+        if ad.ndim == bd.ndim > 1:
+            return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
         if ad.ndim == 2 and bd.ndim == 1:
             return np.outer(g, bd), ad.T @ g
         if ad.ndim == 1 and bd.ndim == 2:
@@ -241,26 +243,27 @@ def masked_softmax(v, mask):
 
 
 def embedding_rows(table, indices):
-    """Gather rows of a 2-D table; the gradient scatter-adds them back."""
+    """Gather rows of a 2-D table, any shape of indices; the gradient scatter-adds them back."""
     idx = np.asarray(indices, dtype=np.intp)
     out = Tensor(table.data[idx])
 
     def grad_fn(g):
-        return (_RowUpdate(idx, g),)
+        return (_RowUpdate(idx.reshape(-1), g.reshape(idx.size, -1)),)
 
     return _record("embedding_rows", (table,), out, grad_fn)
 
 
-def nll(p, index):
+def nll(p, index, rows=None):
     """Summed negative log-likelihood of the gold classes under ``p``.
 
     ``p`` is one distribution (K,) with one class ``index``, or T
-    distributions (T, K) with one class per row.
+    distributions (T, K) with one class per row (per listed row with ``rows``).
     """
     if p.data.ndim == 2:
-        at = (np.arange(p.data.shape[0]), np.asarray(index, dtype=np.intp))
+        at = (np.arange(p.data.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp),
+              np.asarray(index, dtype=np.intp))
         if at[1].shape != at[0].shape:
-            raise ShapeError(f"nll got {at[1].shape} classes for {p.data.shape[0]} rows")
+            raise ShapeError(f"nll got {at[1].shape} classes for {at[0].shape[0]} rows")
     else:
         at = int(index)
     vals = p.data[at]
@@ -274,73 +277,97 @@ def nll(p, index):
     return _record("nll", (p,), out, grad_fn)
 
 
-def pair_rows(keys, queries):
-    """Row ``[keys[s]; queries[t]]`` for every query t and key s, t-major.
-
-    ``keys`` (S, a) and ``queries`` (T, b) give (T * S, a + b): the input
-    of additive attention scoring every key against every query.
-    """
-    k, q = keys.data, queries.data
-    steps, slots, width = q.shape[0], k.shape[0], k.shape[1]
-    pairs = np.empty((steps, slots, width + q.shape[1]))
-    pairs[:, :, :width] = k
-    pairs[:, :, width:] = q[:, None, :]
-    out = Tensor(pairs.reshape(steps * slots, -1))
+def getitem(x, key):
+    """``x.data[key]`` for a basic index (integers and slices)."""
+    out = Tensor(x.data[key])
 
     def grad_fn(g):
-        g = g.reshape(steps, slots, -1)
-        return g[:, :, :width].sum(axis=0), g[:, :, width:].sum(axis=1)
+        gx = np.zeros_like(x.data)
+        gx[key] = g
+        return (gx,)
 
-    return _record("pair_rows", (keys, queries), out, grad_fn)
+    return _record("getitem", (x,), out, grad_fn)
+
+
+def additive_energies(keys, queries, w, b):
+    """Energies w . tanh(k_s + q_t) + b, (..., T, S), of keys (..., S, a) and
+    queries (..., T, a).  Each is a reduction of its own row, not a GEMV,
+    whose rounding can depend on where a row sits: equal keys tie exactly.
+    """
+    kd, qd = keys.data, queries.data
+    if kd.shape[:-2] != qd.shape[:-2] or {kd.shape[-1], w.data.shape[-1]} != {qd.shape[-1]}:
+        raise ShapeError(f"additive_energies got keys {kd.shape} and queries {qd.shape}")
+    y = kd[..., None, :, :] + qd[..., :, None, :]
+    np.tanh(y, out=y)
+    out = Tensor((y * w.data[0]).sum(axis=-1) + b.data)
+
+    def grad_fn(g):
+        dw = g.reshape(-1) @ y.reshape(g.size, -1)
+        pre = np.multiply(y, y)  # the one (..., T, S, a) temporary, reused in place
+        np.subtract(1.0, pre, out=pre)
+        pre *= g[..., None]
+        pre *= w.data[0]
+        return pre.sum(axis=-3), pre.sum(axis=-2), dw[None], np.full(1, g.sum())
+
+    return _record("additive_energies", (keys, queries, w, b), out, grad_fn)
 
 
 def gru(x, h0, wz, uz, bz, wr, ur, br, wc, uc, bc):
-    """GRU states h_1..h_T (T, H) from the input rows x_1..x_T of ``x`` and ``h0`` (1, H).
+    """GRU states h_1..h_T of B sequences: (B, T, H) from the input rows ``x``
+    (B, T, I) and ``h0`` (B, H), or (T, H) from (T, I) and (1, H) for one.
 
     Step t computes z = sigmoid(x_t wz' + bz + h uz'), r likewise from
     (wr, ur, br), c = tanh(x_t wc' + bc + (r * h) uc') and the state
     (1 - z) * h + z * c.  The input projections are one GEMM per gate
-    over all T rows; only the H x H recurrence runs step by step.  The
-    gradient is backpropagation through time written out by hand, so each
-    weight gradient is one GEMM over the T steps.
+    over all rows; only the H x H recurrence runs step by step, on (B, H).
+    The gradient is backpropagation through time written out by hand, so
+    each weight gradient is one GEMM over all rows.  Padded steps past a
+    sequence's end need no mask: no loss reads them, so their gradient is
+    exactly zero.
     """
     xs, hidden = x.data, uz.data.shape[0]
-    if xs.ndim != 2 or xs.shape[1] != wz.data.shape[1] or h0.data.shape != (1, hidden):
+    if xs.ndim not in (2, 3) or xs.shape[-1] != wz.data.shape[1] \
+            or h0.data.shape != (xs.shape[0] if xs.ndim == 3 else 1, hidden):
         raise ShapeError(f"gru got inputs {xs.shape} and state {h0.data.shape} "
                          f"for weights {wz.data.shape} and {uz.data.shape}")
-    steps = xs.shape[0]
-    az, ar, ac = [xs @ w.data.T + b.data for w, b in ((wz, bz), (wr, br), (wc, bc))]
-    hs = np.empty((steps + 1, hidden))  # h_0..h_T
-    hs[0] = h0.data
-    z, r, c = np.empty((steps, hidden)), np.empty((steps, hidden)), np.empty((steps, hidden))
+    batch, steps, width = (1,) * (3 - xs.ndim) + xs.shape
+    # time-major rows: step t's B rows are rows t*B..(t+1)*B-1, one contiguous block
+    rows = (xs if batch == 1 else xs.transpose(1, 0, 2)).reshape(-1, width)
+    az, ar, ac = [rows @ w.data.T + b.data for w, b in ((wz, bz), (wr, br), (wc, bc))]
+    hs = np.empty(((steps + 1) * batch, hidden))  # h_0..h_T
+    hs[:batch] = h0.data
+    z, r, c = np.empty(az.shape), np.empty(az.shape), np.empty(az.shape)
     with np.errstate(over="ignore"):  # exp(-a) overflows to inf, and the gate to 0
-        for t in range(steps):
-            h = hs[t:t + 1]
-            z[t] = zt = 1.0 / (1.0 + np.exp(-(az[t:t + 1] + h @ uz.data.T)))
-            r[t] = rt = 1.0 / (1.0 + np.exp(-(ar[t:t + 1] + h @ ur.data.T)))
-            c[t] = ct = np.tanh(ac[t:t + 1] + (rt * h) @ uc.data.T)
-            hs[t + 1] = (1.0 - zt) * h + zt * ct
-    prev = hs[:-1]
-    out = Tensor(hs[1:])
+        for lo in range(0, steps * batch, batch):
+            hi = lo + batch
+            h = hs[lo:hi]
+            z[lo:hi] = zt = 1.0 / (1.0 + np.exp(-(az[lo:hi] + h @ uz.data.T)))
+            r[lo:hi] = rt = 1.0 / (1.0 + np.exp(-(ar[lo:hi] + h @ ur.data.T)))
+            c[lo:hi] = ct = np.tanh(ac[lo:hi] + (rt * h) @ uc.data.T)
+            hs[hi:hi + batch] = (1.0 - zt) * h + zt * ct
+    prev, states = hs[:-batch], hs[batch:]
+    out = Tensor(states.reshape(xs.shape[:-1] + (hidden,)) if batch == 1
+                 else states.reshape(steps, batch, hidden).transpose(1, 0, 2))
 
     def grad_fn(g):
-        # local derivatives of every step at once: of h_t by the gates'
-        # pre-activations and by h_{t-1} directly, and of r * h by r's
-        by_z, by_c, by_h = (c - prev) * z * (1.0 - z), z * (1.0 - c * c), 1.0 - z
-        rh_by_r = prev * r * (1.0 - r)
+        g = g.reshape(-1, hidden) if batch == 1 else g.transpose(1, 0, 2).reshape(-1, hidden)
         gz, gr, gc = np.empty_like(z), np.empty_like(z), np.empty_like(z)
-        dh = np.zeros((1, hidden))
-        for t in range(steps - 1, -1, -1):
-            dh = dh + g[t]
-            gz[t] = by_z[t] * dh
-            gc[t] = gct = by_c[t] * dh
+        dh = np.zeros((batch, hidden))
+        for lo in range(steps * batch - batch, -1, -batch):  # local derivatives step by step
+            hi = lo + batch
+            zt, rt, ct, h = z[lo:hi], r[lo:hi], c[lo:hi], prev[lo:hi]
+            dh = dh + g[lo:hi]
+            gz[lo:hi] = gzt = (ct - h) * zt * (1.0 - zt) * dh
+            gc[lo:hi] = gct = zt * (1.0 - ct * ct) * dh
             drh = gct @ uc.data
-            gr[t] = grt = rh_by_r[t] * drh
-            dh = by_h[t] * dh + r[t] * drh + gz[t:t + 1] @ uz.data + grt @ ur.data
-        return (gz @ wz.data + gr @ wr.data + gc @ wc.data, dh,
-                gz.T @ xs, gz.T @ prev, gz.sum(axis=0),
-                gr.T @ xs, gr.T @ prev, gr.sum(axis=0),
-                gc.T @ xs, gc.T @ (r * prev), gc.sum(axis=0))
+            gr[lo:hi] = grt = h * rt * (1.0 - rt) * drh
+            dh = (1.0 - zt) * dh + rt * drh + gzt @ uz.data + grt @ ur.data
+        dx = gz @ wz.data + gr @ wr.data + gc @ wc.data
+        return (dx.reshape(xs.shape) if batch == 1
+                else dx.reshape(steps, batch, width).transpose(1, 0, 2), dh,
+                gz.T @ rows, gz.T @ prev, gz.sum(axis=0),
+                gr.T @ rows, gr.T @ prev, gr.sum(axis=0),
+                gc.T @ rows, gc.T @ (r * prev), gc.sum(axis=0))
 
     return _record("gru", (x, h0, wz, uz, bz, wr, ur, br, wc, uc, bc), out, grad_fn)
 
@@ -373,7 +400,10 @@ def sum_all(x):
 
 
 def reshape(x, shape):
-    out = Tensor(x.data.reshape(shape))
+    data = x.data.reshape(shape)
+    if data.shape == x.data.shape:
+        return x  # records nothing, as decoding one row reshapes to the same shape
+    out = Tensor(data)
     orig = x.data.shape
 
     def grad_fn(g):
@@ -387,7 +417,8 @@ def backward(loss, tape):
 
     Gradients are *added* into ``Tensor.grad`` (allocated as zeros when
     absent), so parameters not reached by the loss keep zero gradients
-    and repeated calls accumulate across a minibatch.
+    and calls on several tapes accumulate.  A tape is replayed once: each
+    node's output gradient and saved values are released after use.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -400,6 +431,7 @@ def backward(loss, tape):
         if g is None:
             continue
         contribs = node.grad_fn(g)
+        node.output.grad = node.grad_fn = None  # every consumer came later on the tape
         for t, c in zip(node.inputs, contribs):
             if c is None or not t.requires_grad:
                 continue
@@ -435,11 +467,11 @@ class AdamState:
 
 
 def adam_step(params, grads, state):
-    """One bias-corrected Adam update, in place.
+    """One bias-corrected Adam update, in place and without temporaries.
 
     ``params`` and ``grads`` are parallel lists; parameter data and the
-    state are mutated.  A non-finite gradient aborts with the offending
-    parameter named.
+    state are mutated, the gradients are not.  A non-finite gradient
+    aborts with the offending parameter named.
     """
     if state.learning_rate <= 0:
         raise ConfigError(f"adam_step: learning_rate must be positive, got {state.learning_rate}")
@@ -450,18 +482,31 @@ def adam_step(params, grads, state):
     bc1 = 1.0 - state.beta1 ** state.step
     bc2 = 1.0 - state.beta2 ** state.step
     scale = state.learning_rate / bc1
+    width = max([16384] + [p.data[0].size for p in params])  # updates run on row slices
+    work = np.empty((2, width))
     for i, (p, g) in enumerate(zip(params, grads)):
         if g.shape != p.data.shape:
             raise ShapeError(f"adam_step: gradient shape {g.shape} does not match "
                              f"parameter {p.name or i} of shape {p.data.shape}")
         if not np.isfinite(g).all():
             raise TrainingDivergenceError(f"non-finite gradient for parameter {p.name or i}")
-        m, v = state.m[i], state.v[i]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data -= scale * m / (np.sqrt(v / bc2) + state.epsilon)
+        rows = width // g[0].size
+        for lo in range(0, len(g), rows):
+            param, grad, m, v = (a[lo:lo + rows] for a in (p.data, g, state.m[i], state.v[i]))
+            delta, root = (buf[:grad.size].reshape(grad.shape) for buf in work)
+            # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2, p -= scale m / (sqrt(v / bc2) + eps)
+            m *= state.beta1
+            m += np.multiply(grad, 1.0 - state.beta1, out=delta)
+            v *= state.beta2
+            np.multiply(grad, grad, out=delta)
+            delta *= 1.0 - state.beta2
+            v += delta
+            np.divide(v, bc2, out=root)
+            np.sqrt(root, out=root)
+            root += state.epsilon
+            np.multiply(m, scale, out=delta)
+            delta /= root
+            param -= delta
     return params, state
 
 

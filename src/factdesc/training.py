@@ -5,7 +5,9 @@ log-likelihood of the gold slot under the attention distribution and
 the negative log-likelihood of the gold word under the head that slot
 routes to (copy position for fact-aligned tokens, vocabulary index
 otherwise, ``<UNK>`` included).  Teacher forcing feeds the gold slot's
-embedding and the gold previous-word feedback throughout.
+embedding and the gold previous-word feedback throughout.  ``train``
+records each minibatch's loss (:func:`batch_loss`) on one tape and
+replays it once; ``step_loss`` is the same loss for a batch of one.
 
 Checkpoint files are binary: magic ``FKS1``, a little-endian uint32
 manifest length, a UTF-8 JSON manifest (version, config, vocabulary,
@@ -30,6 +32,7 @@ from .decoder import (
     DecoderParams,
     ModelDims,
     attention_context,
+    attention_keys,
     decoder_step,
     fact_attention,
     greedy_decode,
@@ -37,13 +40,12 @@ from .decoder import (
     slot_embedding,
     vocab_logits,
     copy_logits,
-    _zero_row,
 )
 from .encoder import EncoderConfig
 from .errors import CheckpointError, ConfigError, DataError, TrainingDivergenceError
 from .metrics import EvalPair, bleu
 from .tensor import (AdamState, Tape, Tensor, adam_step, add, backward, concat, embedding_rows,
-                     mul, nll)
+                     getitem, mul, nll, reshape)
 
 log = logging.getLogger(__name__)
 
@@ -133,78 +135,90 @@ class Checkpoint:
 
 
 def step_loss(entity, aligned, params, vocab, config, parts=False):
-    """Teacher-forced loss for one entity, optionally split into terms.
+    """Teacher-forced loss of one entity: :func:`batch_loss` of a batch of one."""
+    return batch_loss([entity], [aligned], params, vocab, config, parts)
+
+
+def batch_loss(entities, aligned, params, vocab, config, parts=False):
+    """Teacher-forced loss summed over a minibatch, optionally split into terms.
 
     Returns the scalar loss, or ``(loss, fact_term, word_term)`` when
     ``parts`` is set.  In ``copy_only`` mode the mean-fact slot is
     masked out of attention and tokens aligned to it contribute no loss
     (the restricted model cannot emit them), though the recurrence
     still advances on their gold feedback.  Every GRU input is known
-    from the gold tokens, so each layer runs once over all T steps.
+    from the gold tokens, so each layer runs once per minibatch, with the
+    slots padded to the most any entity has and the steps to the longest.
     """
-    if aligned.entity_id != entity.id:
-        raise DataError(f"alignment for {aligned.entity_id} applied to entity {entity.id}")
     dims = params.dims
-    enc = params.encode(entity, vocab, config.encoder_config(), config.max_facts)
-    mask = enc.mask
-    if config.copy_only:
-        mask = mask.copy()
-        mask[enc.mean_slot] = False
-    tokens = aligned.tokens
-    steps = len(tokens)
-    copied = np.zeros(steps, dtype=bool)
-    gold = np.full(steps, enc.mean_slot, dtype=np.intp)
+    encs = []
+    for entity, tokens in zip(entities, aligned):
+        if tokens.entity_id != entity.id:
+            raise DataError(f"alignment for {tokens.entity_id} applied to entity {entity.id}")
+        encs.append(params.encode(entity, vocab, config.encoder_config(), config.max_facts))
+    n_facts = np.array([enc.n_facts for enc in encs])
+    batch, steps, slots = len(encs), max(len(a.tokens) for a in aligned), n_facts.max() + 1
+    # the mean-fact slot n is live unless copy_only; padding slots never are
+    mask = np.arange(slots) < n_facts[:, None] + (not config.copy_only)
+    word_counts = np.zeros((batch, slots), dtype=np.intp)
+    gold = np.repeat(n_facts[:, None], steps, axis=1)  # gold slot per step
+    target = np.zeros((batch, steps), dtype=np.intp)  # copy position or word index
+    copied = np.zeros((batch, steps), dtype=bool)
     # step t's feedback is token t-1: its word embedding after a vocabulary
     # step, its copy position's one-hot after a copy step, zeros at t = 0
     # (steps without a word gather row 0, and ``fed`` zeroes it)
-    words = np.zeros(steps, dtype=np.intp)
-    fed = np.zeros((steps, 1))
-    onehots = np.zeros((steps, dims.copy_width))
-    for t, token in enumerate(tokens):
-        if token.source is Source.FACT:
-            if not 0 <= token.fact_index < enc.n_facts:
-                raise DataError(f"entity {entity.id}: aligned fact index "
-                                f"{token.fact_index} out of range")
-            if not 0 <= token.copy_pos < enc.word_counts[token.fact_index]:
-                raise DataError(f"entity {entity.id}: copy position {token.copy_pos} "
-                                f"out of range for fact {token.fact_index}")
-            copied[t] = True
-            gold[t] = token.fact_index
-            if t + 1 < steps:
-                onehots[t + 1, token.copy_pos] = 1.0
-        elif t + 1 < steps:
-            words[t + 1] = token.word_index
-            fed[t + 1] = 1.0
-    scored = copied if config.copy_only else np.ones(steps, dtype=bool)
+    words = np.zeros((batch, steps), dtype=np.intp)
+    fed = np.zeros((batch, steps, 1))
+    onehots = np.zeros((batch, steps, dims.copy_width))
+    for b, (entity, enc, tokens) in enumerate(zip(entities, encs, aligned)):
+        word_counts[b, :enc.n_facts] = enc.word_counts
+        for t, token in enumerate(tokens.tokens):
+            if token.source is Source.FACT:
+                if not (0 <= token.fact_index < enc.n_facts
+                        and 0 <= token.copy_pos < enc.word_counts[token.fact_index]):
+                    raise DataError(f"entity {entity.id}: copy position {token.copy_pos} "
+                                    f"of fact {token.fact_index} out of range")
+                copied[b, t], gold[b, t], target[b, t] = True, token.fact_index, token.copy_pos
+                onehots[b, t + 1:t + 2, token.copy_pos] = 1.0
+            else:
+                target[b, t] = words[b, t + 1:t + 2] = token.word_index
+                fed[b, t + 1:t + 2] = 1.0
+    lengths = np.array([len(a.tokens) for a in aligned])
+    scored = copied if config.copy_only else np.arange(steps) < lengths[:, None]
     if not scored.any():
         zero = Tensor(0.0)
         return (zero, zero, zero) if parts else zero
 
-    h0 = _zero_row(dims.hidden_dim)
+    fact_embs = concat([part for enc in encs for part in (
+        enc.embeddings, Tensor(np.zeros((slots - 1 - enc.n_facts, dims.embed_dim))))])
+    gold_rows = gold + np.arange(batch)[:, None] * slots  # rows of fact_embs, (B * S, d)
     w_prev = mul(embedding_rows(params.word_emb, words), Tensor(fed))
-    h = decoder_step(slot_embedding(enc.embeddings, gold), w_prev, Tensor(onehots), h0, params)
-    states = concat([h0, h], axis=0)  # h_0..h_T; step t attends from h_t, emits from h_{t+1}
-    rows = np.flatnonzero(scored)
-    alpha = fact_attention(enc.embeddings, mask, embedding_rows(states, rows), params)
-    fact_total = nll(alpha, gold[rows])
+    h = decoder_step(slot_embedding(fact_embs, gold_rows), w_prev, Tensor(onehots),
+                     Tensor(np.zeros((batch, dims.hidden_dim))), params)
+    # h_0..h_{T-1}: step t attends from h_t, and emits from h_{t+1} = h[:, t]
+    states = concat([Tensor(np.zeros((batch, 1, dims.hidden_dim))),
+                     getitem(h, np.s_[:, :-1])], axis=1)
+    alpha = fact_attention(attention_keys(fact_embs, params), mask, states, params)
+    b, t = np.nonzero(scored)
+    fact_total = nll(alpha, gold[b, t], rows=b * steps + t)
+    h_rows = reshape(h, (-1, dims.hidden_dim))
     word_terms = []
-    rows = np.flatnonzero(copied)
-    if rows.size:
-        dist = copy_logits(slot_embedding(enc.embeddings, gold[rows]), embedding_rows(h, rows),
-                           [enc.word_counts[slot] for slot in gold[rows]], params)
-        word_terms.append(nll(dist, [tokens[t].copy_pos for t in rows]))
-    rows = np.flatnonzero(scored & ~copied)
-    if rows.size:
-        # vocabulary steps are scored only when every step is, so alpha's
-        # rows are the step indices
-        context = attention_context(embedding_rows(alpha, rows), enc.embeddings)
-        dist = vocab_logits(context, embedding_rows(h, rows), params)
-        word_terms.append(nll(dist, [tokens[t].word_index for t in rows]))
+    b, t = np.nonzero(copied)
+    if b.size:
+        dist = copy_logits(slot_embedding(fact_embs, gold_rows[b, t]),
+                           embedding_rows(h_rows, b * steps + t), word_counts[b, gold[b, t]],
+                           params)
+        word_terms.append(nll(dist, target[b, t]))
+    b, t = np.nonzero(scored & ~copied)
+    if b.size:
+        context = attention_context(reshape(alpha, (batch, steps, slots)),
+                                    reshape(fact_embs, (batch, slots, dims.embed_dim)))
+        dist = vocab_logits(embedding_rows(reshape(context, (-1, dims.embed_dim)), b * steps + t),
+                            embedding_rows(h_rows, b * steps + t), params)
+        word_terms.append(nll(dist, target[b, t]))
     word_total = word_terms[0] if len(word_terms) == 1 else add(*word_terms)
     total = add(word_total, fact_total)
-    if parts:
-        return total, fact_total, word_total
-    return total
+    return (total, fact_total, word_total) if parts else total
 
 
 def _clip_gradients(grads, clip):
@@ -259,17 +273,17 @@ def train(train_entities, dev_entities, config):
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
             params.zero_grads()
-            for i in batch:
-                entity = usable[i]
-                with Tape() as tape:
-                    loss = step_loss(entity, aligned[i], params, vocab, config)
-                value = float(loss.data)
-                if not np.isfinite(value):
-                    raise TrainingDivergenceError(
-                        f"non-finite loss for entity {entity.id} in epoch {epoch}")
-                epoch_loss += value
-                if loss.requires_grad:
-                    backward(loss, tape)
+            with Tape() as tape:
+                loss = batch_loss([usable[i] for i in batch], [aligned[i] for i in batch],
+                                  params, vocab, config)
+            value = float(loss.data)
+            if not np.isfinite(value):
+                raise TrainingDivergenceError(
+                    f"non-finite loss in epoch {epoch} for the minibatch of "
+                    f"{len(batch)} entities starting at entity {usable[batch[0]].id}")
+            epoch_loss += value
+            if loss.requires_grad:
+                backward(loss, tape)
             grads = []
             inv = 1.0 / len(batch)
             for p in learnable:
@@ -360,7 +374,7 @@ def load_checkpoint(path):
 
     Rejects bad magic, version mismatches, malformed manifests, a
     vocabulary longer than the output rows, tensors that run past or
-    short of the payload, and shapes that disagree with the config.
+    short of the payload or are not finite, and shapes that disagree.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
@@ -402,6 +416,8 @@ def load_checkpoint(path):
                                       f"past the {len(payload)}-byte payload")
             chunk = payload[offset:offset + n_bytes]
             arrays[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape).astype(np.float64)
+            if not np.isfinite(arrays[name]).all():
+                raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
             declared += n_bytes
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed tensor entry: {exc!r}") from exc

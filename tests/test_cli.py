@@ -240,6 +240,21 @@ def test_generate_vocabulary_longer_than_output_rows_exits_2(trained, tmp_path, 
     assert code == 2 and "vocabulary" in err
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_generate_nonfinite_tensor_exits_2(trained, tmp_path, capsys, value):
+    raw = bytearray(trained[3].read_bytes())
+    (length,) = struct.unpack("<I", raw[4:8])
+    entry = next(e for e in json.loads(raw[8:8 + length])["tensors"]
+                 if e["name"] == "attn_energy_w")
+    start = 8 + length + entry["offset"]
+    raw[start:start + 4] = np.array([value], dtype="<f4").tobytes()
+    bad = tmp_path / "bad.fks"
+    bad.write_bytes(bytes(raw))
+    code, err = _generate_exit(bad, tmp_path, capsys)
+    assert code == 2 and "attn_energy_w" in err and "non-finite" in err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 @pytest.mark.parametrize("command", ["params", "train"])
 @pytest.mark.parametrize("config", [[1, 2], {"epochs": "3"}, {"copy_only": 1},
                                     {"batch_size": True}])

@@ -27,12 +27,16 @@ def zeroed_params(dims, mean_fact_mode="mean"):
     return params
 
 
+def _attend(embs, mask, h, params):
+    return decoder.fact_attention(decoder.attention_keys(embs, params), mask, h, params)
+
+
 def test_identical_fact_embeddings_give_uniform_attention():
     dims = tiny_dims()
     params = DecoderParams(dims, rng=np.random.default_rng(1))
     embs = Tensor(np.tile(np.array([[0.3, -0.2, 0.5]]), (4, 1)))
     h = Tensor(np.random.default_rng(2).normal(size=(1, 3)))
-    alpha = decoder.fact_attention(embs, np.ones(4, dtype=bool), h, params)
+    alpha = _attend(embs, np.ones(4, dtype=bool), h, params)
     assert np.allclose(alpha.data, 0.25)
 
 
@@ -43,7 +47,7 @@ def test_zero_energy_weights_give_uniform_attention():
     params.attn_energy_b.data[:] = 0.0
     embs = Tensor(np.random.default_rng(4).normal(size=(5, 3)))
     h = Tensor(np.random.default_rng(5).normal(size=(1, 3)))
-    alpha = decoder.fact_attention(embs, np.ones(5, dtype=bool), h, params)
+    alpha = _attend(embs, np.ones(5, dtype=bool), h, params)
     assert np.allclose(alpha.data, 0.2)
 
 
@@ -55,7 +59,7 @@ def test_attention_matches_softmax_of_constructed_energies():
     params.attn_energy_w.data[:] = [[4.0]]
     embs = Tensor(np.array([[np.arctanh(0.25)], [np.arctanh(0.5)], [0.7]]))
     h = Tensor(np.zeros((1, 1)))
-    alpha = decoder.fact_attention(embs, np.array([True, True, False]), h, params).data[0]
+    alpha = _attend(embs, np.array([True, True, False]), h, params).data[0]
     assert alpha[2] == 0.0
     assert np.allclose(alpha[:2], [0.26894142, 0.73105858], atol=1e-8)
 
@@ -71,9 +75,59 @@ def test_attention_rows_are_valid_distributions():
             mask[0] = True
         embs = Tensor(rng.normal(size=(n, 3)))
         h = Tensor(rng.normal(size=(1, 3)))
-        alpha = decoder.fact_attention(embs, mask, h, params).data[0]
+        alpha = _attend(embs, mask, h, params).data[0]
         assert abs(alpha.sum() - 1.0) < 1e-12
         assert (alpha[~mask] == 0.0).all()
+
+
+def _pair_energies(embs, h, params):
+    # every (state, slot) pair scored on its own: w . tanh(W [slot; state] + b) + b_e
+    p = {name: t.data for name, t in params.named_tensors()}
+    return np.array([[p["attn_energy_w"][0] @ np.tanh(p["attn_hidden_w"] @ np.r_[slot, state]
+                                                      + p["attn_hidden_b"])
+                      + p["attn_energy_b"][0] for slot in embs] for state in h])
+
+
+def test_fact_attention_pairs_every_state_with_every_slot():
+    # state-major: row t holds every slot scored against state t, in one
+    # entity's (T, S) layout and in a batch's padded (B * T, S) layout
+    dims = tiny_dims(embed_dim=3, hidden_dim=2, attn_dim=4)
+    params = DecoderParams(dims, rng=np.random.default_rng(20))
+    rng = np.random.default_rng(21)
+    embs, h = rng.normal(size=(2, 5, 3)), rng.normal(size=(2, 4, 2))
+    masks = np.array([[True, False, True, True, True], [True, True, True, False, False]])
+    keys = decoder.attention_keys(Tensor(embs.reshape(10, 3)), params)
+    batched = decoder.fact_attention(keys, masks, Tensor(h), params).data.reshape(2, 4, 5)
+    for b in range(2):
+        one = _attend(Tensor(embs[b]), masks[b], Tensor(h[b]), params).data
+        energies = np.where(masks[b], _pair_energies(embs[b], h[b], params), -np.inf)
+        expected = np.exp(energies - energies.max(axis=1, keepdims=True))
+        expected /= expected.sum(axis=1, keepdims=True)
+        assert np.allclose(one, expected, rtol=1e-12, atol=1e-15)
+        assert np.allclose(batched[b], one, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("steps", [1, 6])
+def test_identical_slots_get_bit_equal_attention_wherever_they_sit(steps):
+    # two facts with the same phrase embed identically, and the argmax
+    # must then take the lower slot: their weights must tie exactly
+    params = DecoderParams(ModelDims(), rng=np.random.default_rng(22))
+    rng = np.random.default_rng(23 + steps)
+    for _ in range(150):
+        n = int(rng.integers(3, 16))
+        embs = rng.normal(size=(n, 100)) * 0.2
+        first, second = sorted(rng.choice(n, 2, replace=False))
+        embs[second] = embs[first]
+        h = Tensor(rng.normal(size=(steps, 100)))
+        alpha = _attend(Tensor(embs), np.ones(n, dtype=bool), h, params).data
+        assert np.array_equal(alpha[:, first], alpha[:, second]), (n, first, second)
+        batch = np.zeros((3, 16, 100))
+        batch[1, :n] = embs
+        live = np.arange(16) < np.array([[16], [n], [5]])
+        keys = decoder.attention_keys(Tensor(batch.reshape(48, 100)), params)
+        states = Tensor(np.stack([h.data] * 3))
+        alpha = decoder.fact_attention(keys, live, states, params).data[steps:2 * steps]
+        assert np.array_equal(alpha[:, first], alpha[:, second]), (n, first, second)
 
 
 def test_select_fact_argmax_and_ties():
@@ -162,12 +216,12 @@ def test_heads_and_attention_rows_equal_single_row_calls():
     embs = Tensor(rng.normal(size=(4, 3)))
     mask = np.array([True, False, True, True])
     counts = [1, 4, 2, 3, 4]
-    alpha = decoder.fact_attention(embs, mask, Tensor(h), params).data
+    alpha = _attend(embs, mask, Tensor(h), params).data
     vocab = decoder.vocab_logits(Tensor(f), Tensor(h), params).data
     copy = decoder.copy_logits(Tensor(f), Tensor(h), counts, params).data
     for t in range(5):
         one_f, one_h = Tensor(f[t:t + 1]), Tensor(h[t:t + 1])
-        assert np.allclose(alpha[t], decoder.fact_attention(embs, mask, one_h, params).data[0],
+        assert np.allclose(alpha[t], _attend(embs, mask, one_h, params).data[0],
                            rtol=0.0, atol=1e-15)
         assert np.allclose(vocab[t], decoder.vocab_logits(one_f, one_h, params).data[0],
                            rtol=0.0, atol=1e-15)

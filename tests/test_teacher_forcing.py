@@ -1,13 +1,15 @@
-"""``step_loss`` against a per-token teacher-forced loop.
+"""``step_loss`` and ``batch_loss`` against a per-token teacher-forced loop.
 
 The oracle below is the loss written one token at a time, as greedy
 decoding runs: every layer is called with one row, and the GRU step is
 composed from tape primitives (affine, add, mul, tanh) rather than the
 fused ``gru`` node, so its gradient comes from the tape alone.  The
-batched ``step_loss`` must give the same loss and the same gradients on
-random small models and toy entities (drawn from a fixed seed, so the
-suite reruns the same cases).
+batched losses, of one entity and of a padded minibatch, must give the
+same loss and the same gradients on random small models and toy
+entities (drawn from a fixed seed, so the suite reruns the same cases).
 """
+
+import dataclasses
 
 import numpy as np
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from factdesc.alignment import Source, align_description
 from factdesc.decoder import (
     DecoderParams,
     attention_context,
+    attention_keys,
     copy_logits,
     fact_attention,
     slot_embedding,
@@ -44,6 +47,7 @@ def _gru_step(x, h, p):
 def per_token_loss(entity, aligned, params, vocab, config):
     dims = params.dims
     enc = params.encode(entity, vocab, config.encoder_config(), config.max_facts)
+    keys = attention_keys(enc.embeddings, params)
     mask = enc.mask.copy()
     if config.copy_only:
         mask[enc.mean_slot] = False
@@ -56,7 +60,7 @@ def per_token_loss(entity, aligned, params, vocab, config):
         gold = token.fact_index if copied else enc.mean_slot
         scored = copied or not config.copy_only
         if scored:
-            alpha = fact_attention(enc.embeddings, mask, h, params)
+            alpha = fact_attention(keys, mask, h, params)
             terms.append(nll(alpha, [gold]))
         f_t = slot_embedding(enc.embeddings, gold)
         h = _gru_step(concat([f_t, w_prev, v_prev], axis=1), h, params)
@@ -90,31 +94,75 @@ def _loss_and_grads(loss_fn, params, *args):
     return float(loss.data), grads
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2**16), copy_only=st.booleans(),
-       mean_fact=st.sampled_from(["mean", "fixed_random"]),
-       encoding=st.sampled_from(["positional", "mean_pool"]),
-       sizes=st.tuples(*[st.integers(2, 5)] * 4),
-       max_facts=st.integers(1, 6), max_factual_words=st.integers(2, 6),
-       vocab_size=st.integers(3, 40))
-def test_step_loss_equals_per_token_loop(seed, copy_only, mean_fact, encoding, sizes,
-                                         max_facts, max_factual_words, vocab_size):
+def _assert_same(ours, our_grads, theirs, their_grads, params):
+    assert abs(ours - theirs) <= 1e-12 * max(abs(theirs), 1e-300)
+    for t, a, b in zip(params.learnable(), our_grads, their_grads):
+        err = np.abs(a - b) / np.maximum(1.0, np.abs(b))
+        assert err.max(initial=0.0) <= 1e-10, t.name
+
+
+def _oracle_sum(entities, aligned, params, vocab, config):
+    total = Tensor(0.0)
+    for entity, tokens in zip(entities, aligned):
+        total = add(total, per_token_loss(entity, tokens, params, vocab, config))
+    return total
+
+
+CASES = dict(seed=st.integers(0, 2**16), copy_only=st.booleans(),
+             mean_fact=st.sampled_from(["mean", "fixed_random"]),
+             encoding=st.sampled_from(["positional", "mean_pool"]),
+             sizes=st.tuples(*[st.integers(2, 5)] * 4),
+             max_facts=st.integers(1, 6), max_factual_words=st.integers(2, 6),
+             vocab_size=st.integers(3, 40))
+
+
+def _case(seed, copy_only, mean_fact, encoding, sizes, max_facts, max_factual_words,
+          vocab_size, n_entities):
     embed, hidden, attn, head = sizes
     config = training.TrainConfig(
         max_facts=max_facts, max_factual_words=max_factual_words, vocab_size=vocab_size,
         embed_dim=embed, hidden_dim=hidden, attn_dim=attn, head_dim=head,
         encoding=encoding, mean_fact=mean_fact, copy_only=copy_only)
     entities = [corpus.parse_record(r, max_facts, max_factual_words)
-                for r in toycorpus.generate_corpus(4, seed=seed)]
+                for r in toycorpus.generate_corpus(n_entities, seed=seed)]
     vocab = corpus.build_vocabulary(entities, vocab_size)
     params = DecoderParams(config.dims(), mean_fact, rng=np.random.default_rng(seed))
+    return config, entities, vocab, params
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(**CASES)
+def test_step_loss_equals_per_token_loop(seed, copy_only, mean_fact, encoding, sizes,
+                                         max_facts, max_factual_words, vocab_size):
+    config, entities, vocab, params = _case(seed, copy_only, mean_fact, encoding, sizes,
+                                            max_facts, max_factual_words, vocab_size, 4)
     for entity in entities:
         aligned = align_description(entity, vocab)
         ours, our_grads = _loss_and_grads(training.step_loss, params,
                                           entity, aligned, params, vocab, config)
         theirs, their_grads = _loss_and_grads(per_token_loss, params,
                                               entity, aligned, params, vocab, config)
-        assert abs(ours - theirs) <= 1e-12 * max(abs(theirs), 1e-300)
-        for t, a, b in zip(params.learnable(), our_grads, their_grads):
-            err = np.abs(a - b) / np.maximum(1.0, np.abs(b))
-            assert err.max(initial=0.0) <= 1e-10, t.name
+        _assert_same(ours, our_grads, theirs, their_grads, params)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n_entities=st.integers(1, 6), unscored=st.booleans(), **CASES)
+def test_batch_loss_equals_sum_of_per_token_loops(n_entities, unscored, seed, copy_only,
+                                                  mean_fact, encoding, sizes, max_facts,
+                                                  max_factual_words, vocab_size):
+    # ragged batches: descriptions of different lengths, entities with
+    # different numbers of facts, padded to the batch's largest of each
+    config, entities, vocab, params = _case(seed, copy_only, mean_fact, encoding, sizes,
+                                            max_facts, max_factual_words, vocab_size,
+                                            n_entities)
+    aligned = [align_description(e, vocab) for e in entities]
+    if unscored and copy_only:
+        # a description of vocabulary words only has no scored step here
+        entities[0] = dataclasses.replace(entities[0], description_tokens=["qqq"] * 3)
+        aligned[0] = align_description(entities[0], vocab)
+        assert all(t.source is not Source.FACT for t in aligned[0].tokens)
+    ours, our_grads = _loss_and_grads(training.batch_loss, params,
+                                      entities, aligned, params, vocab, config)
+    theirs, their_grads = _loss_and_grads(_oracle_sum, params,
+                                          entities, aligned, params, vocab, config)
+    _assert_same(ours, our_grads, theirs, their_grads, params)

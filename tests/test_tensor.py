@@ -103,16 +103,12 @@ def test_nll_over_rows_sums_and_scatters():
     assert np.array_equal(p.grad, expected)
     with pytest.raises(ShapeError):
         T.nll(p, [0, 1])
-
-
-def test_pair_rows_is_query_major():
-    keys = T.Tensor(np.arange(6.0).reshape(3, 2))
-    queries = T.Tensor(-np.arange(4.0).reshape(2, 2))
-    pairs = T.pair_rows(keys, queries).data
-    assert pairs.shape == (6, 4)
-    for t in range(2):
-        for s in range(3):
-            assert np.array_equal(pairs[t * 3 + s], np.r_[keys.data[s], queries.data[t]])
+    p.grad = None
+    with T.Tape() as tape:
+        loss = T.nll(p, [1, 3], rows=[2, 0])
+    assert float(loss.data) == -np.log(p.data[2, 1]) - np.log(p.data[0, 3])
+    T.backward(loss, tape)
+    assert np.count_nonzero(p.grad) == 2 and p.grad[1].tolist() == [0.0] * 4
 
 
 @pytest.mark.parametrize("steps", range(1, 7))
@@ -129,6 +125,59 @@ def test_gru_gradients_match_finite_differences(steps):
 
     assert T.grad_check(f, params) < 1e-6
     assert all(p.grad is not None and np.abs(p.grad).max() > 0 for p in params)
+
+
+@pytest.mark.parametrize("batch,steps", [(2, 1), (2, 4), (3, 3), (5, 2)])
+def test_batched_gru_gradients_match_finite_differences(batch, steps):
+    rng = np.random.default_rng(400 + 10 * batch + steps)
+    n_in, hidden = 4, 3
+    params = _random_params(rng, (batch, steps, n_in), (batch, hidden),
+                            *[(hidden, n_in), (hidden, hidden), (hidden,)] * 3)
+    weights = T.Tensor(rng.normal(size=(batch, steps, hidden)))
+
+    def f(ps):
+        return T.sum_all(T.mul(T.gru(*ps), weights))
+
+    assert T.grad_check(f, params) < 1e-6
+    assert all(p.grad is not None and np.abs(p.grad).max() > 0 for p in params)
+
+
+def test_batched_gru_rows_equal_one_sequence_each():
+    rng = np.random.default_rng(12)
+    weights = _random_params(rng, *[(3, 4), (3, 3), (3,)] * 3)
+    x, h0 = rng.normal(size=(4, 5, 4)), rng.normal(size=(4, 3))
+    rows = T.gru(T.Tensor(x), T.Tensor(h0), *weights).data
+    assert rows.shape == (4, 5, 3)
+    for b in range(4):
+        one = T.gru(T.Tensor(x[b]), T.Tensor(h0[b:b + 1]), *weights).data
+        assert np.allclose(rows[b], one, rtol=0.0, atol=1e-14)
+
+
+def test_batched_gru_padded_steps_get_exactly_zero_gradient():
+    # sequences of 2, 5 and 3 steps padded to 5; the loss reads no padded state
+    rng = np.random.default_rng(13)
+    lengths = [2, 5, 3]
+    live = np.arange(5)[None, :] < np.array(lengths)[:, None]
+    data = rng.normal(size=(3, 5, 4))
+    h0 = T.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    weights = _random_params(rng, *[(3, 4), (3, 3), (3,)] * 3)
+    read = T.Tensor(rng.normal(size=(3, 5, 3)) * live[..., None])
+
+    def grads(padding):
+        x = T.Tensor(data.copy(), requires_grad=True)
+        x.data[~live] = padding
+        for p in (h0, *weights):
+            p.grad = None
+        with T.Tape() as tape:
+            loss = T.sum_all(T.mul(T.gru(x, h0, *weights), read))
+        T.backward(loss, tape)
+        return x.grad, [h0.grad.copy()] + [w.grad.copy() for w in weights]
+
+    x_grad, base = grads(0.0)
+    assert (x_grad[~live] == 0.0).all() and (x_grad[live] != 0.0).all()
+    _, moved = grads(rng.normal(size=(int((~live).sum()), 4)) * 50)
+    for a, b in zip(base, moved):
+        assert np.array_equal(a, b)
 
 
 def test_gru_rejects_mismatched_shapes():
@@ -182,6 +231,17 @@ def test_backward_accumulates_across_tapes():
     assert np.allclose(x.grad, [8.0])
 
 
+def test_backward_releases_intermediate_gradients():
+    x = T.Tensor([2.0, 3.0], requires_grad=True)
+    with T.Tape() as tape:
+        y = T.mul(x, x)
+        loss = T.sum_all(y)
+    T.backward(loss, tape)
+    assert np.array_equal(x.grad, [4.0, 6.0])
+    assert y.grad is None and loss.grad is None
+    assert all(node.grad_fn is None for node in tape.nodes)
+
+
 def test_unreached_parameters_keep_zero_grads():
     x = T.Tensor([1.0], requires_grad=True)
     y = T.Tensor([1.0], requires_grad=True)
@@ -218,6 +278,41 @@ def test_adam_rejects_nonpositive_learning_rate():
     p = T.Tensor([0.0], requires_grad=True)
     with pytest.raises(ConfigError):
         T.adam_step([p], [np.zeros(1)], T.AdamState(learning_rate=0.0))
+
+
+def _adam_reference(params, grads, state):
+    # the update written with temporaries, as a plain formula
+    if not state.m:
+        state.m = [np.zeros_like(p.data) for p in params]
+        state.v = [np.zeros_like(p.data) for p in params]
+    state.step += 1
+    bc1 = 1.0 - state.beta1 ** state.step
+    bc2 = 1.0 - state.beta2 ** state.step
+    scale = state.learning_rate / bc1
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        p.data -= scale * m / (np.sqrt(v / bc2) + state.epsilon)
+
+
+def test_adam_equals_the_formula_bit_for_bit():
+    rng = np.random.default_rng(15)
+    shapes = [(7, 5), (5,), (1, 3), (40,)]
+    ours = [T.Tensor(rng.normal(size=s)) for s in shapes]
+    theirs = [T.Tensor(p.data.copy()) for p in ours]
+    our_state, their_state = T.AdamState(0.01), T.AdamState(0.01)
+    for _ in range(12):
+        grads = [rng.normal(size=s) * rng.choice([1e-6, 1.0, 1e3]) for s in shapes]
+        kept = [g.copy() for g in grads]
+        T.adam_step(ours, grads, our_state)
+        _adam_reference(theirs, grads, their_state)
+        assert all(np.array_equal(g, k) for g, k in zip(grads, kept))
+        for a, b in zip(ours, theirs):
+            assert np.array_equal(a.data, b.data)
+        for a, b in zip(our_state.m + our_state.v, their_state.m + their_state.v):
+            assert np.array_equal(a, b)
 
 
 def test_grad_check_square():
@@ -283,10 +378,21 @@ def test_grad_check_every_primitive(seed):
                                 [weights]),
         "embedding_rows": (lambda ps: T.sum_all(T.mul(e := T.embedding_rows(ps[0], idx), e)),
                            [table]),
-        "pair_rows": (lambda ps: T.sum_all(T.mul(q := T.pair_rows(ps[0], ps[1]), q)),
-                      _random_params(rng, (m, k), (n, 2))),
+        "matmul stacked": (lambda ps: T.sum_all(T.tanh(T.matmul(ps[0], ps[1]))),
+                           _random_params(rng, (2, n, k), (2, k, m))),
+        "getitem": (lambda ps: T.sum_all(T.mul(q := T.getitem(ps[0], np.s_[:, 1:]), q)), [a]),
+        "additive_energies": (lambda ps: T.sum_all(T.mul(e := T.additive_energies(*ps), e)),
+                              _random_params(rng, (m, k), (n, k), (1, k), (1,))),
+        "additive_energies blocks": (lambda ps: T.sum_all(T.tanh(T.additive_energies(*ps))),
+                                     _random_params(rng, (2, m, k), (2, n, k), (1, k), (1,))),
+        "nll rows": (lambda ps: T.nll(T.masked_softmax(ps[0], row_mask), [0, 0], rows=[n - 1, 0]),
+                     [weights]),
+        "embedding_rows grid": (lambda ps: T.sum_all(T.mul(
+            e := T.embedding_rows(ps[0], idx.reshape(3, 1)), e)), [table]),
         "gru": (lambda ps: T.sum_all(T.mul(g := T.gru(*ps), g)),
                 _random_params(rng, (n, k), (1, m), *[(m, k), (m, m), (m,)] * 3)),
+        "gru batch": (lambda ps: T.sum_all(T.mul(g := T.gru(*ps), g)),
+                      _random_params(rng, (3, n, k), (3, m), *[(m, k), (m, m), (m,)] * 3)),
         "segment_sum": (lambda ps: T.sum_all(T.mul(s := T.segment_sum(ps[0], runs), s)), [a]),
         "reshape": (lambda ps: T.sum_all(T.mul(r := T.reshape(ps[0], (k, n)), r)), [a]),
     }

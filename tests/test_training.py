@@ -7,8 +7,9 @@ import pytest
 from factdesc import corpus, toycorpus, training
 from factdesc.alignment import align_description
 from factdesc.decoder import DecoderParams
-from factdesc.errors import CheckpointError, ConfigError, DataError, ShapeError
-from factdesc.tensor import Tape, backward, grad_check
+from factdesc.errors import (CheckpointError, ConfigError, DataError, ShapeError,
+                             TrainingDivergenceError)
+from factdesc.tensor import Tape, Tensor, backward, grad_check
 from factdesc.training import Checkpoint, TrainConfig
 
 
@@ -53,6 +54,23 @@ def test_config_rejects_nonpositive_values():
 def test_config_rejects_nonpositive_or_nonfinite_floats(field, value):
     with pytest.raises(ConfigError, match=field):
         TrainConfig(**{field: value})
+
+
+def test_nonfinite_minibatch_loss_names_epoch_and_entity(monkeypatch):
+    entities, config = load_toy(12, seed=3, epochs=3)
+    real = training.batch_loss
+    calls = []
+
+    def poisoned(batch, *args):
+        calls.append([e.id for e in batch])
+        loss = real(batch, *args)
+        return Tensor(np.nan) if len(calls) == 5 else loss
+
+    monkeypatch.setattr(training, "batch_loss", poisoned)
+    with pytest.raises(TrainingDivergenceError) as exc:
+        training.train(entities[:10], entities[10:], config)
+    # three minibatches of at most 4 per epoch: the fifth call is epoch 2's second
+    assert "epoch 2" in str(exc.value) and calls[-1][0] in str(exc.value)
 
 
 def _uniform_loss_fixture():
