@@ -34,7 +34,6 @@ from .decoder import (
     decoder_step,
     fact_attention,
     greedy_decode,
-    select_fact,
     vocab_logits,
 )
 from .encoder import EncoderConfig, encode_entity, positional_weights

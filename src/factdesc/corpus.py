@@ -160,6 +160,8 @@ def parse_record(record, max_facts=DEFAULT_MAX_FACTS,
     """Turn one decoded JSONL record into an ``Entity`` (or None to skip)."""
     if not isinstance(record, dict) or "id" not in record or "facts" not in record:
         raise DataError("record must be an object with 'id' and 'facts'")
+    if not isinstance(description := record.get("description"), (str, type(None))):
+        raise DataError(f"entity {record['id']}: description must be a string")
     facts = []
     for raw in record["facts"]:
         fact = Fact.build(str(raw["property"]), str(raw["value"]), max_factual_words)
@@ -172,7 +174,6 @@ def parse_record(record, max_facts=DEFAULT_MAX_FACTS,
     if not facts:
         log.warning("skipping entity %s: no usable facts", record["id"])
         return None
-    description = record.get("description")
     tokens = tokenize(description) if description is not None else None
     return Entity(str(record["id"]), facts, tokens)
 

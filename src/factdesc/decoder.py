@@ -27,6 +27,7 @@ from .tensor import (
     embedding_rows,
     getitem,
     gru,
+    gru_step,
     masked_softmax,
     matmul,
     relu,
@@ -154,18 +155,6 @@ class DecoderParams:
 
 
 @lru_cache(maxsize=None)
-def _zero_row(width):
-    return Tensor(np.zeros((1, width)))
-
-
-@lru_cache(maxsize=None)
-def _copy_onehot(width, pos):
-    row = np.zeros((1, width))
-    row[0, pos] = 1.0
-    return Tensor(row)
-
-
-@lru_cache(maxsize=None)
 def _all_true(n):
     return np.ones(n, dtype=bool)
 
@@ -196,11 +185,6 @@ def fact_attention(keys, mask, states, params):
                                  params.attn_energy_w, params.attn_energy_b)
     rows = np.repeat(mask, lead[-1], axis=0) if np.ndim(mask) == 2 else mask
     return masked_softmax(reshape(energies, (-1, energies.shape[-1])), rows)
-
-
-def select_fact(alpha):
-    """Argmax slot of one attention row; ties break toward the lowest index."""
-    return int(np.argmax(alpha.data))
 
 
 def slot_embedding(fact_embs, slots):
@@ -246,66 +230,71 @@ def copy_logits(f, h, n_words, params):
     return masked_softmax(scores, np.arange(width) < counts[..., None])
 
 
-def _select_live_slot(enc, keys, mask, h_prev, params):
-    """Attend and pick a slot, masking out facts with nothing to copy."""
-    while mask.any():
-        alpha = fact_attention(keys, mask, h_prev, params)
-        slot = select_fact(alpha)
-        if slot != enc.mean_slot and enc.word_counts[slot] == 0:
-            mask[slot] = False
-            continue
-        return alpha, slot
-    return None
-
-
 def greedy_decode(entity, params, vocab, enc_cfg, max_facts, max_len,
                   copy_only=False, return_trace=False):
-    """Greedy generation for one entity.
+    """Greedy generation for one entity, stepped on plain arrays.
 
-    Stops at ``<EOS>`` or ``max_len``; ``<UNK>`` emissions are stripped
-    from the returned tokens (the trace keeps every step, with one
-    attention weight per slot).  The vocabulary head picks among the
-    ``len(vocab)`` words only, never among rows the model has past them.
-    With ``copy_only`` the mean-fact slot is never selectable, so only
-    factual words can be emitted and decoding runs until ``max_len``.
+    Each step takes the argmax slot; a fact with no factual words that wins
+    is masked out for the rest of the decode and the step attends again.
+    Stops at ``<EOS>`` or ``max_len``; ``<UNK>`` emissions are stripped from
+    the returned tokens (the trace keeps every step, with one attention
+    weight per slot).  The vocabulary head picks among the ``len(vocab)``
+    words only.  With ``copy_only`` the mean-fact slot is never selectable.
+    The layers above, regrouped: each slot passes through the GRU's fact
+    columns once, and a copy feeds back its position's column, not a one-hot.
     """
     enc = params.encode(entity, vocab, enc_cfg, max_facts)
-    keys = attention_keys(enc.embeddings, params)
+    slots = enc.embeddings.data
+    keys = attention_keys(enc.embeddings, params).data
     mask = enc.mask.copy()
     if copy_only:
         mask[enc.mean_slot] = False
-    dims = params.dims
-    h = _zero_row(dims.hidden_dim)
-    w_prev = _zero_row(dims.embed_dim)
-    v_prev = _zero_row(dims.copy_width)
-    tokens = []
+    d, n_vocab = params.dims.embed_dim, len(vocab)
+    p = {name: t.data for name, t in params.named_tensors()}
+    query_w = p["attn_hidden_w"][:, d:]
+    energy_w, energy_b = p["attn_energy_w"][0], p["attn_energy_b"]
+    gate_x = [p[f"gru_{g}_x"] for g in ("update", "reset", "cand")]
+    slot_in = [slots @ w[:, :d].T + p[f"gru_{g}_b"]  # (S, H) per gate
+               for w, g in zip(gate_x, ("update", "reset", "cand"))]
+    feedback = [0.0, 0.0, 0.0]
+    h = np.zeros(params.dims.hidden_dim)
     trace = []
-    for _ in range(max_len):
-        selected = _select_live_slot(enc, keys, mask, h, params)
-        if selected is None:
-            break
-        alpha, slot = selected
-        f_t = slot_embedding(enc.embeddings, slot)
-        h = decoder_step(f_t, w_prev, v_prev, h, params)
-        if slot == enc.mean_slot:
-            dist = vocab_logits(attention_context(alpha, enc.embeddings), h, params)
-            word_idx = int(np.argmax(dist.data[0, : len(vocab)]))
-            token = vocab.word(word_idx)
-            trace.append((token, alpha.data[0]))
+    with np.errstate(over="ignore"):  # a saturated gate, as in ``gru``
+        for _ in range(max_len):
+            hidden = keys + h @ query_w.T
+            energies = (np.tanh(hidden, out=hidden) * energy_w).sum(axis=1) + energy_b
+            while mask.any():
+                masked = np.where(mask, energies, -np.inf)
+                alpha = np.exp(masked - masked.max())
+                alpha /= alpha.sum()
+                slot = int(alpha.argmax())  # ties toward the lowest slot
+                if slot == enc.mean_slot or enc.word_counts[slot]:
+                    break
+                mask[slot] = False
+            else:
+                break
+            h = gru_step(*(s[slot] + f for s, f in zip(slot_in, feedback)), h,
+                         p["gru_update_h"], p["gru_reset_h"], p["gru_cand_h"])[3]
+            if slot == enc.mean_slot:
+                mixed = np.concatenate([alpha @ slots, h])
+                head = np.maximum(p["vocab_hidden_w"] @ mixed + p["vocab_hidden_b"], 0.0)
+                word = int((p["vocab_out_w"][:n_vocab] @ head + p["vocab_out_b"][:n_vocab])
+                           .argmax())
+                token = vocab.word(word)
+                if token != EOS:
+                    feedback = [w[:, d:2 * d] @ p["word_emb"][word] for w in gate_x]
+            else:
+                n_words = enc.word_counts[slot]
+                if n_words > params.dims.copy_width:
+                    raise ShapeError(f"n_words {n_words} outside 1..{params.dims.copy_width}")
+                mixed = np.concatenate([slots[slot], h])
+                head = np.maximum(p["copy_hidden_w"] @ mixed + p["copy_hidden_b"], 0.0)
+                pos = int((p["copy_out_w"][:n_words] @ head + p["copy_out_b"][:n_words])
+                          .argmax())
+                token = entity.facts[slot].factual_words[pos]  # lowercase, never <EOS>
+                feedback = [w[:, 2 * d + pos] for w in gate_x]
+            trace.append((token, alpha))
             if token == EOS:
                 break
-            tokens.append(token)
-            w_prev = embedding_rows(params.word_emb, [word_idx])
-            v_prev = _zero_row(dims.copy_width)
-        else:
-            dist = copy_logits(f_t, h, enc.word_counts[slot], params)
-            pos = int(np.argmax(dist.data))
-            token = entity.facts[slot].factual_words[pos]
-            trace.append((token, alpha.data[0]))
-            tokens.append(token)
-            w_prev = _zero_row(dims.embed_dim)
-            v_prev = _copy_onehot(dims.copy_width, pos)
-    tokens = [t for t in tokens if t != UNK]
-    if return_trace:
-        return tokens, trace
-    return tokens
+    tokens = [t for t, _ in trace if t not in (EOS, UNK)]
+    return (tokens, trace) if return_trace else tokens

@@ -1,12 +1,12 @@
 """Dense float64 tensors, a reverse-mode autodiff tape, and Adam.
 
-Every model computation in this package is assembled from the primitives
-here.  Recording is explicit: an operation appends a node to the
-innermost active ``Tape`` only when at least one input requires
-gradients, so inference code that runs outside a tape pays nothing for
-bookkeeping.  ``backward`` replays a tape once in reverse and
-accumulates into ``Tensor.grad``; a trainer records a whole minibatch on
-one tape, with a leading batch axis where a layer needs one.
+Training is assembled from the primitives here.  Recording is explicit:
+an operation appends a node to the innermost active ``Tape`` only when an
+input requires gradients, but even outside a tape it builds a ``Tensor``
+per call, so greedy decoding steps on plain arrays (:func:`gru_step`).
+``backward`` replays a tape once in reverse and accumulates into
+``Tensor.grad``; a trainer records a whole minibatch on one tape, with a
+leading batch axis where a layer needs one.
 
 All arithmetic is double precision; checkpoints downcast to float32 on
 disk (see :mod:`factdesc.training`).
@@ -340,11 +340,8 @@ def gru(x, h0, wz, uz, bz, wr, ur, br, wc, uc, bc):
     with np.errstate(over="ignore"):  # exp(-a) overflows to inf, and the gate to 0
         for lo in range(0, steps * batch, batch):
             hi = lo + batch
-            h = hs[lo:hi]
-            z[lo:hi] = zt = 1.0 / (1.0 + np.exp(-(az[lo:hi] + h @ uz.data.T)))
-            r[lo:hi] = rt = 1.0 / (1.0 + np.exp(-(ar[lo:hi] + h @ ur.data.T)))
-            c[lo:hi] = ct = np.tanh(ac[lo:hi] + (rt * h) @ uc.data.T)
-            hs[hi:hi + batch] = (1.0 - zt) * h + zt * ct
+            z[lo:hi], r[lo:hi], c[lo:hi], hs[hi:hi + batch] = gru_step(
+                az[lo:hi], ar[lo:hi], ac[lo:hi], hs[lo:hi], uz.data, ur.data, uc.data)
     prev, states = hs[:-batch], hs[batch:]
     out = Tensor(states.reshape(xs.shape[:-1] + (hidden,)) if batch == 1
                  else states.reshape(steps, batch, hidden).transpose(1, 0, 2))
@@ -370,6 +367,16 @@ def gru(x, h0, wz, uz, bz, wr, ur, br, wc, uc, bc):
                 gc.T @ rows, gc.T @ (r * prev), gc.sum(axis=0))
 
     return _record("gru", (x, h0, wz, uz, bz, wr, ur, br, wc, uc, bc), out, grad_fn)
+
+
+def gru_step(az, ar, ac, h, uz, ur, uc):
+    """One GRU step of :func:`gru` and of greedy decoding, on plain arrays:
+    z, r, c and the next state from the input projections ``a*`` (biases
+    included) and ``h``.  Callers ignore overflow (a gate saturating to 0)."""
+    z = 1.0 / (1.0 + np.exp(-(az + h @ uz.T)))
+    r = 1.0 / (1.0 + np.exp(-(ar + h @ ur.T)))
+    c = np.tanh(ac + (r * h) @ uc.T)
+    return z, r, c, (1.0 - z) * h + z * c
 
 
 def segment_sum(x, lengths):

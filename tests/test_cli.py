@@ -317,3 +317,18 @@ def test_generate_nonpositive_max_len_is_usage_error(trained, tmp_path, capsys, 
                     "--out", str(out), "--max-len", max_len]) == 1
     assert "--max-len" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("description", [5, ["a"], {"text": "a"}],
+                         ids=["number", "list", "object"])
+def test_non_string_description_exits_2_with_its_line(trained, tmp_path, capsys, description):
+    records = toycorpus.generate_corpus(3, seed=9)
+    records[1]["description"] = description
+    data = tmp_path / "data.jsonl"
+    toycorpus.write_jsonl(records, data)
+    out = tmp_path / "out.jsonl"
+    assert cli.run(["align", "--data", str(data), "--out", str(out)]) == 2
+    assert f"{data}:2: " in capsys.readouterr().err
+    assert cli.run(["generate", "--checkpoint", str(trained[3]), "--input", str(data),
+                    "--out", str(out)]) == 2
+    assert "description must be a string" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 from factdesc import corpus, decoder
 from factdesc.decoder import DecoderParams, ModelDims
 from factdesc.encoder import EncoderConfig
-from factdesc.errors import EmptyFactError
+from factdesc.errors import EmptyFactError, ShapeError
 from factdesc.tensor import Tensor, grad_check, masked_softmax, mul, sum_all
 from factdesc.training import TrainConfig
 
@@ -130,10 +130,40 @@ def test_identical_slots_get_bit_equal_attention_wherever_they_sit(steps):
         assert np.array_equal(alpha[:, first], alpha[:, second]), (n, first, second)
 
 
-def test_select_fact_argmax_and_ties():
-    assert decoder.select_fact(Tensor([0.1, 0.7, 0.2])) == 1
-    assert decoder.select_fact(Tensor([0.5, 0.5])) == 0
-    assert decoder.select_fact(Tensor([0.2, 0.2, 0.6])) == 2  # mean slot routes to vocab
+def test_greedy_identical_facts_tie_and_copy_from_the_lower_slot():
+    # sample1k-sized layers and 3-15 facts, where a GEMV's rounding could
+    # depend on where a row sits: the twin facts' weights must tie exactly
+    words = [f"w{i}" for i in range(40)]
+    vocab = corpus.Vocabulary(["<UNK>", "<SOS>", "<EOS>"] + words)
+    params = DecoderParams(ModelDims(), rng=np.random.default_rng(24))
+    rng = np.random.default_rng(25)
+    picked_twin = 0
+    for case in range(40):
+        facts = [corpus.Fact.build("p", " ".join(rng.choice(words, int(rng.integers(1, 5)))))
+                 for _ in range(int(rng.integers(2, 15)))]
+        first, second = sorted(rng.choice(len(facts) + 1, 2, replace=False))
+        facts.insert(second, facts[first])
+        _, trace = decoder.greedy_decode(corpus.Entity("Q", facts, None), params, vocab,
+                                         EncoderConfig(), max_facts=20, max_len=6,
+                                         copy_only=case % 2 == 1, return_trace=True)
+        for token, alpha in trace:
+            assert alpha[first] == alpha[second], (case, first, second)
+            assert np.argmax(alpha) != second
+            if np.argmax(alpha) == first:
+                assert token in facts[first].factual_words
+                picked_twin += 1
+    assert picked_twin
+
+
+def test_greedy_decode_rejects_a_fact_wider_than_the_copy_head():
+    dims = tiny_dims(copy_width=4)
+    vocab = corpus.Vocabulary(["<UNK>", "<SOS>", "<EOS>", "street", "in", "blue"])
+    entity = corpus.Entity("Q", [corpus.Fact.build("kind", "one two three four five")], None)
+    for seed in range(5):
+        params = DecoderParams(dims, rng=np.random.default_rng(seed))
+        with pytest.raises(ShapeError):
+            decoder.greedy_decode(entity, params, vocab, EncoderConfig(embedding_dim=3),
+                                  max_facts=5, max_len=20)
 
 
 def test_positive_rescaling_keeps_argmax():
@@ -141,10 +171,9 @@ def test_positive_rescaling_keeps_argmax():
     for _ in range(20):
         energies = rng.normal(size=5)
         mask = np.ones(5, dtype=bool)
-        base = decoder.select_fact(masked_softmax(Tensor(energies), mask))
+        base = np.argmax(masked_softmax(Tensor(energies), mask).data)
         for scale in (0.1, 3.0, 17.0):
-            scaled = decoder.select_fact(masked_softmax(Tensor(energies * scale), mask))
-            assert scaled == base
+            assert np.argmax(masked_softmax(Tensor(energies * scale), mask).data) == base
 
 
 def test_slot_embedding_gathers_the_exact_row():
