@@ -34,19 +34,20 @@ def f(params):
 print("\ngrad_check max relative error:", grad_check(f, [w, x]))
 
 # Attention masks enter as -inf energies: masked entries come out
-# exactly zero and the rest renormalize.
-energies = Tensor([1.0, 2.0, -0.5])
+# exactly zero and the rest renormalize.  Distributions are rows, so one
+# of them is a (1, K) batch.
+energies = Tensor([[1.0, 2.0, -0.5]])
 print("\nmasked softmax over slots 0..1 only:",
-      masked_softmax(energies, np.array([True, True, False])).data)
+      masked_softmax(energies, np.array([True, True, False])).data[0])
 
 # The class-indexed negative log-likelihood closes the loop from
 # distribution to scalar loss; its softmax composition gives the
 # familiar p - onehot gradient.
-z = Tensor([0.0, 0.0], requires_grad=True)
+z = Tensor([[0.0, 0.0]], requires_grad=True)
 with Tape() as tape:
-    loss = nll(masked_softmax(z, np.array([True, True])), 0)
+    loss = nll(masked_softmax(z, np.array([True, True])), [0])
 backward(loss, tape)
-print("softmax-NLL gradient at uniform:", z.grad)
+print("softmax-NLL gradient at uniform:", z.grad[0])
 
 # One bias-corrected Adam step with the defaults moves a fresh
 # parameter by almost exactly the learning rate.

@@ -84,9 +84,14 @@ def _read_text_rows(path):
                 continue
             try:
                 record = json.loads(line)
-                rows[str(record["id"])] = corpus.tokenize(str(record["text"]))
+                key, text = str(record["id"]), record["text"]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise DataError(f"{path}:{line_no}: expected {{'id', 'text'}} rows ({exc})")
+            if not isinstance(text, str):
+                raise DataError(f"{path}:{line_no}: text of {key} must be a string")
+            if key in rows:
+                raise DataError(f"{path}:{line_no}: repeated id {key}")
+            rows[key] = corpus.tokenize(text)
     return rows
 
 

@@ -159,9 +159,9 @@ def _all_true(n):
     return np.ones(n, dtype=bool)
 
 
-# Every layer below takes T rows, one per decoding step: greedy decoding
-# calls each once per step with one row, teacher-forced training once per
-# minibatch with the B entities' steps padded to (B, T) where needed.
+# Teacher-forced training calls each layer below once per minibatch, the B
+# entities' slots padded to S and steps to T: states and GRU inputs are
+# (B, T, .), and the heads take the N scored steps as (N, .) rows.
 
 def attention_keys(slots, params):
     """Slots (S, d) projected once by the fact columns W_f of ``attn_hidden_w``."""
@@ -172,25 +172,26 @@ def attention_keys(slots, params):
 def fact_attention(keys, mask, states, params):
     """Attention distributions over the slots, one row per state h_{t-1}.
 
-    ``keys`` (S, a) from :func:`attention_keys`, ``mask`` (S,) and ``states``
-    (T, H) give (T, S); for a batch, (B * S, a), (B, S) and (B, T, H) give
-    (B * T, S).  The states are projected once and broadcast-added to the keys.
+    ``keys`` (B * S, a) from :func:`attention_keys`, ``mask`` (B, S) and
+    ``states`` (B, T, H) give (B * T, S).  The states are projected once and
+    broadcast-added to the keys.
     """
+    if states.data.ndim != 3 or np.ndim(mask) != 2:
+        raise ShapeError(f"fact_attention got states {states.shape} and mask {np.shape(mask)}")
     dims = params.dims
+    batch, steps = states.shape[:2]
     state_cols = getitem(params.attn_hidden_w, np.s_[:, dims.embed_dim:])
     queries = affine(reshape(states, (-1, dims.hidden_dim)), state_cols)
-    lead = states.shape[:-1]  # (T,) or (B, T)
-    energies = additive_energies(reshape(keys, lead[:-1] + (-1, dims.attn_dim)),
-                                 reshape(queries, lead + (dims.attn_dim,)),
+    energies = additive_energies(reshape(keys, (batch, -1, dims.attn_dim)),
+                                 reshape(queries, (batch, steps, dims.attn_dim)),
                                  params.attn_energy_w, params.attn_energy_b)
-    rows = np.repeat(mask, lead[-1], axis=0) if np.ndim(mask) == 2 else mask
-    return masked_softmax(reshape(energies, (-1, energies.shape[-1])), rows)
+    return masked_softmax(reshape(energies, (batch * steps, -1)),
+                          np.repeat(mask, steps, axis=0))
 
 
 def slot_embedding(fact_embs, slots):
-    """Rows of the slot matrix: (1, d) for one index, else ``slots.shape + (d,)``."""
-    idx = np.asarray(slots, dtype=np.intp)
-    return embedding_rows(fact_embs, idx.reshape(-1) if idx.ndim < 2 else idx)
+    """Rows of the slot matrix, ``slots.shape + (d,)`` for an index array ``slots``."""
+    return embedding_rows(fact_embs, slots)
 
 
 def attention_context(alpha, fact_embs):
@@ -214,10 +215,8 @@ def vocab_logits(c, h, params):
 
 
 def copy_logits(f, h, n_words, params):
-    """Distributions over copy positions 1..n_words from the rows [f_t; h_t].
-
-    ``n_words`` is one count for every row or one count per row.
-    """
+    """Distributions over copy positions 1..n_words from the rows [f_t; h_t],
+    with one count in ``n_words`` per row."""
     width = params.dims.copy_width
     counts = np.asarray(n_words)
     fewest, most = counts.min(), counts.max()
@@ -227,7 +226,7 @@ def copy_logits(f, h, n_words, params):
         raise ShapeError(f"n_words {n_words} outside 1..{width}")
     hidden = relu(affine(concat([f, h], axis=1), params.copy_hidden_w, params.copy_hidden_b))
     scores = affine(hidden, params.copy_out_w, params.copy_out_b)
-    return masked_softmax(scores, np.arange(width) < counts[..., None])
+    return masked_softmax(scores, np.arange(width) < counts[:, None])
 
 
 def greedy_decode(entity, params, vocab, enc_cfg, max_facts, max_len,

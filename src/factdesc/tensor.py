@@ -5,8 +5,8 @@ an operation appends a node to the innermost active ``Tape`` only when an
 input requires gradients, but even outside a tape it builds a ``Tensor``
 per call, so greedy decoding steps on plain arrays (:func:`gru_step`).
 ``backward`` replays a tape once in reverse and accumulates into
-``Tensor.grad``; a trainer records a whole minibatch on one tape, with a
-leading batch axis where a layer needs one.
+``Tensor.grad``; a trainer records a whole minibatch on one tape.  Products,
+softmaxes, losses and the GRU take rows: one distribution is (1, K), not (K,).
 
 All arithmetic is double precision; checkpoints downcast to float32 on
 disk (see :mod:`factdesc.training`).
@@ -137,24 +137,15 @@ def mul(a, b):
 
 
 def matmul(a, b):
-    """Matrix product of 2-D operands, a 1-D vector on either side, or two
-    stacks of matrices (B, n, k) and (B, k, m)."""
+    """Matrix product of 2-D operands (n, k) and (k, m), or of two stacks
+    of matrices (B, n, k) and (B, k, m)."""
     ad, bd = a.data, b.data
-    stacked = ad.ndim == bd.ndim == 3 and ad.shape[0] == bd.shape[0]
-    if not stacked and (ad.ndim not in (1, 2) or bd.ndim not in (1, 2)):
-        raise ShapeError(f"matmul needs 1-D or 2-D operands, got {ad.shape} and {bd.shape}")
-    if ad.shape[-1] != bd.shape[-2 if bd.ndim > 1 else 0]:
+    if ad.ndim not in (2, 3) or ad.shape[:-2] + ad.shape[-1:] != bd.shape[:-1]:
         raise ShapeError(f"matmul shapes {ad.shape} and {bd.shape} do not agree")
     out = Tensor(ad @ bd)
 
     def grad_fn(g):
-        if ad.ndim == bd.ndim > 1:
-            return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
-        if ad.ndim == 2 and bd.ndim == 1:
-            return np.outer(g, bd), ad.T @ g
-        if ad.ndim == 1 and bd.ndim == 2:
-            return g @ bd.T, np.outer(ad, g)
-        return g * bd, g * ad  # inner product of two vectors
+        return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
 
     return _record("matmul", (a, b), out, grad_fn)
 
@@ -217,18 +208,17 @@ def relu(x):
 
 
 def masked_softmax(v, mask):
-    """Softmax over the unmasked entries of each row of ``v``.
+    """Softmax over the unmasked entries of each row of ``v`` (N, K).
 
-    ``v`` is one row (K,) or T rows (T, K); ``mask`` is (K,), shared by
-    every row, or (T, K).  Masked entries come out exactly zero; the rest
-    are stabilized by max-subtraction (masking enters as a -inf energy).
+    ``mask`` is (K,), shared by every row, or (N, K).  Masked entries come
+    out exactly zero; the rest are stabilized by max-subtraction (masking
+    enters as a -inf energy).
     """
     mask = np.asarray(mask, dtype=bool)
     x = v.data
-    if x.ndim not in (1, 2) or not 0 < mask.ndim <= x.ndim \
-            or mask.shape != x.shape[x.ndim - mask.ndim:]:
+    if x.ndim != 2 or mask.shape not in (x.shape, x.shape[1:]):
         raise ShapeError(f"masked_softmax got values {x.shape} and mask {mask.shape}")
-    if not (mask.any() if mask.ndim == 1 else mask.any(axis=1).all()):
+    if not mask.any(axis=-1).all():
         raise InvalidMaskError("masked_softmax: every entry of a row is masked")
     energies = np.where(mask, x, -np.inf)
     e = np.exp(energies - energies.max(axis=-1, keepdims=True))
@@ -254,18 +244,13 @@ def embedding_rows(table, indices):
 
 
 def nll(p, index, rows=None):
-    """Summed negative log-likelihood of the gold classes under ``p``.
-
-    ``p`` is one distribution (K,) with one class ``index``, or T
-    distributions (T, K) with one class per row (per listed row with ``rows``).
+    """Summed negative log-likelihood of the gold classes under the
+    distributions ``p`` (N, K): one class per row, or per listed row with ``rows``.
     """
-    if p.data.ndim == 2:
-        at = (np.arange(p.data.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp),
-              np.asarray(index, dtype=np.intp))
-        if at[1].shape != at[0].shape:
-            raise ShapeError(f"nll got {at[1].shape} classes for {at[0].shape[0]} rows")
-    else:
-        at = int(index)
+    at = (np.arange(len(p.data)) if rows is None else np.asarray(rows, dtype=np.intp),
+          np.asarray(index, dtype=np.intp))
+    if p.data.ndim != 2 or at[1].shape != at[0].shape:
+        raise ShapeError(f"nll got {at[1].shape} classes for {len(at[0])} rows of {p.data.shape}")
     vals = p.data[at]
     out = Tensor(-np.log(vals).sum())
 
@@ -314,7 +299,7 @@ def additive_energies(keys, queries, w, b):
 
 def gru(x, h0, wz, uz, bz, wr, ur, br, wc, uc, bc):
     """GRU states h_1..h_T of B sequences: (B, T, H) from the input rows ``x``
-    (B, T, I) and ``h0`` (B, H), or (T, H) from (T, I) and (1, H) for one.
+    (B, T, I) and ``h0`` (B, H).
 
     Step t computes z = sigmoid(x_t wz' + bz + h uz'), r likewise from
     (wr, ur, br), c = tanh(x_t wc' + bc + (r * h) uc') and the state
@@ -326,13 +311,12 @@ def gru(x, h0, wz, uz, bz, wr, ur, br, wc, uc, bc):
     exactly zero.
     """
     xs, hidden = x.data, uz.data.shape[0]
-    if xs.ndim not in (2, 3) or xs.shape[-1] != wz.data.shape[1] \
-            or h0.data.shape != (xs.shape[0] if xs.ndim == 3 else 1, hidden):
+    if xs.ndim != 3 or xs.shape[-1] != wz.data.shape[1] or h0.data.shape != (len(xs), hidden):
         raise ShapeError(f"gru got inputs {xs.shape} and state {h0.data.shape} "
                          f"for weights {wz.data.shape} and {uz.data.shape}")
-    batch, steps, width = (1,) * (3 - xs.ndim) + xs.shape
+    batch, steps, width = xs.shape
     # time-major rows: step t's B rows are rows t*B..(t+1)*B-1, one contiguous block
-    rows = (xs if batch == 1 else xs.transpose(1, 0, 2)).reshape(-1, width)
+    rows = xs.transpose(1, 0, 2).reshape(-1, width)
     az, ar, ac = [rows @ w.data.T + b.data for w, b in ((wz, bz), (wr, br), (wc, bc))]
     hs = np.empty(((steps + 1) * batch, hidden))  # h_0..h_T
     hs[:batch] = h0.data
@@ -343,11 +327,10 @@ def gru(x, h0, wz, uz, bz, wr, ur, br, wc, uc, bc):
             z[lo:hi], r[lo:hi], c[lo:hi], hs[hi:hi + batch] = gru_step(
                 az[lo:hi], ar[lo:hi], ac[lo:hi], hs[lo:hi], uz.data, ur.data, uc.data)
     prev, states = hs[:-batch], hs[batch:]
-    out = Tensor(states.reshape(xs.shape[:-1] + (hidden,)) if batch == 1
-                 else states.reshape(steps, batch, hidden).transpose(1, 0, 2))
+    out = Tensor(states.reshape(steps, batch, hidden).transpose(1, 0, 2))
 
     def grad_fn(g):
-        g = g.reshape(-1, hidden) if batch == 1 else g.transpose(1, 0, 2).reshape(-1, hidden)
+        g = g.transpose(1, 0, 2).reshape(-1, hidden)
         gz, gr, gc = np.empty_like(z), np.empty_like(z), np.empty_like(z)
         dh = np.zeros((batch, hidden))
         for lo in range(steps * batch - batch, -1, -batch):  # local derivatives step by step
@@ -360,8 +343,7 @@ def gru(x, h0, wz, uz, bz, wr, ur, br, wc, uc, bc):
             gr[lo:hi] = grt = h * rt * (1.0 - rt) * drh
             dh = (1.0 - zt) * dh + rt * drh + gzt @ uz.data + grt @ ur.data
         dx = gz @ wz.data + gr @ wr.data + gc @ wc.data
-        return (dx.reshape(xs.shape) if batch == 1
-                else dx.reshape(steps, batch, width).transpose(1, 0, 2), dh,
+        return (dx.reshape(steps, batch, width).transpose(1, 0, 2), dh,
                 gz.T @ rows, gz.T @ prev, gz.sum(axis=0),
                 gr.T @ rows, gr.T @ prev, gr.sum(axis=0),
                 gc.T @ rows, gc.T @ (r * prev), gc.sum(axis=0))
@@ -407,10 +389,7 @@ def sum_all(x):
 
 
 def reshape(x, shape):
-    data = x.data.reshape(shape)
-    if data.shape == x.data.shape:
-        return x  # records nothing, as decoding one row reshapes to the same shape
-    out = Tensor(data)
+    out = Tensor(x.data.reshape(shape))
     orig = x.data.shape
 
     def grad_fn(g):
@@ -445,11 +424,7 @@ def backward(loss, tape):
             if isinstance(c, _RowUpdate):
                 if t.grad is None:
                     t.grad = np.zeros_like(t.data)
-                # faster than np.add.at for the short index lists seen here,
-                # still correct for duplicate indices
-                grad = t.grad
-                for row, g_row in zip(c.idx, c.g):
-                    grad[row] += g_row
+                np.add.at(t.grad, c.idx, c.g)
             elif t.grad is None:
                 t.grad = np.array(c)  # owns memory; c may be a view
             else:

@@ -110,6 +110,32 @@ def test_evaluate_mismatched_ids_exits_2(trained, tmp_path, capsys):
     assert "Q1" in err and "Q2" in err
 
 
+def _evaluate_rows(tmp_path, candidates):
+    cands, refs = tmp_path / "c.jsonl", tmp_path / "r.jsonl"
+    cands.write_text("".join(json.dumps(row) + "\n" for row in candidates))
+    refs.write_text(json.dumps({"id": "a", "text": "x y"}) + "\n"
+                    + json.dumps({"id": "b", "text": "none"}) + "\n")
+    code = cli.run(["evaluate", "--candidates", str(cands), "--references", str(refs),
+                    "--out", str(tmp_path / "report.json")])
+    return code, cands
+
+
+def test_evaluate_repeated_id_exits_2_with_its_line(tmp_path, capsys):
+    code, cands = _evaluate_rows(tmp_path, [{"id": "a", "text": "q"}, {"id": "b", "text": "none"},
+                                            {"id": "a", "text": "x y"}])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{cands}:3: " in err and "repeated id a" in err
+
+
+def test_evaluate_non_string_text_exits_2_with_its_line(tmp_path, capsys):
+    # a null text would otherwise be scored as the word "none"
+    code, cands = _evaluate_rows(tmp_path, [{"id": "a", "text": "x y"}, {"id": "b", "text": None}])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{cands}:2: " in err and "must be a string" in err
+
+
 def test_align_writes_records_and_stats(trained, tmp_path, capsys):
     base, train_path, _, _ = trained
     out = tmp_path / "aligned.jsonl"

@@ -7,7 +7,7 @@ from factdesc import corpus, decoder
 from factdesc.decoder import DecoderParams, ModelDims
 from factdesc.encoder import EncoderConfig
 from factdesc.errors import EmptyFactError, ShapeError
-from factdesc.tensor import Tensor, grad_check, masked_softmax, mul, sum_all
+from factdesc.tensor import Tensor, getitem, grad_check, masked_softmax, mul, sum_all
 from factdesc.training import TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,7 +28,9 @@ def zeroed_params(dims, mean_fact_mode="mean"):
 
 
 def _attend(embs, mask, h, params):
-    return decoder.fact_attention(decoder.attention_keys(embs, params), mask, h, params)
+    # one entity's (T, S) attention rows for the states h (T, H), as a batch of one
+    keys = decoder.attention_keys(embs, params)
+    return decoder.fact_attention(keys, np.asarray(mask)[None], Tensor(h.data[None]), params)
 
 
 def test_identical_fact_embeddings_give_uniform_attention():
@@ -98,6 +100,9 @@ def test_fact_attention_pairs_every_state_with_every_slot():
     masks = np.array([[True, False, True, True, True], [True, True, True, False, False]])
     keys = decoder.attention_keys(Tensor(embs.reshape(10, 3)), params)
     batched = decoder.fact_attention(keys, masks, Tensor(h), params).data.reshape(2, 4, 5)
+    with pytest.raises(ShapeError):  # one entity's states and mask without the batch axis
+        decoder.fact_attention(decoder.attention_keys(Tensor(embs[0]), params), masks[0],
+                               Tensor(h[0]), params)
     for b in range(2):
         one = _attend(Tensor(embs[b]), masks[b], Tensor(h[b]), params).data
         energies = np.where(masks[b], _pair_energies(embs[b], h[b], params), -np.inf)
@@ -171,9 +176,9 @@ def test_positive_rescaling_keeps_argmax():
     for _ in range(20):
         energies = rng.normal(size=5)
         mask = np.ones(5, dtype=bool)
-        base = np.argmax(masked_softmax(Tensor(energies), mask).data)
+        base = np.argmax(masked_softmax(Tensor(energies[None]), mask).data)
         for scale in (0.1, 3.0, 17.0):
-            assert np.argmax(masked_softmax(Tensor(energies * scale), mask).data) == base
+            assert np.argmax(masked_softmax(Tensor(energies[None] * scale), mask).data) == base
 
 
 def test_slot_embedding_gathers_the_exact_row():
@@ -181,12 +186,12 @@ def test_slot_embedding_gathers_the_exact_row():
     slots = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     weights = Tensor(rng.normal(size=(1, 3)))
     for slot in range(4):
-        row = decoder.slot_embedding(slots, slot)
+        row = decoder.slot_embedding(slots, [slot])
         assert row.data.shape == (1, 3)
         assert np.array_equal(row.data[0], slots.data[slot])
 
         def f(ps, slot=slot):
-            return sum_all(mul(decoder.slot_embedding(ps[0], slot), weights))
+            return sum_all(mul(decoder.slot_embedding(ps[0], [slot]), weights))
 
         assert grad_check(f, [slots]) < 1e-6
         assert np.array_equal(np.delete(slots.grad, slot, axis=0), np.zeros((3, 3)))
@@ -196,11 +201,12 @@ def test_decoder_step_zero_weights_halve_state():
     dims = tiny_dims()
     params = zeroed_params(dims)
     h_prev = Tensor(np.array([[0.4, -0.8, 1.2]]))
-    f_t = Tensor(np.ones((1, 3)))
-    w_prev = Tensor(np.zeros((1, 3)))
-    v_prev = Tensor(np.zeros((1, 4)))
+    f_t = Tensor(np.ones((1, 1, 3)))
+    w_prev = Tensor(np.zeros((1, 1, 3)))
+    v_prev = Tensor(np.zeros((1, 1, 4)))
     h = decoder.decoder_step(f_t, w_prev, v_prev, h_prev, params)
-    assert np.allclose(h.data, 0.5 * h_prev.data)
+    assert h.shape == (1, 1, 3)
+    assert np.allclose(h.data[:, 0], 0.5 * h_prev.data)
     zero = decoder.decoder_step(f_t, w_prev, v_prev, Tensor(np.zeros((1, 3))), params)
     assert np.allclose(zero.data, 0.0)
 
@@ -209,9 +215,9 @@ def test_decoder_step_gradients_match_finite_differences():
     dims = tiny_dims()
     params = DecoderParams(dims, rng=np.random.default_rng(9))
     rng = np.random.default_rng(10)
-    f_t = Tensor(rng.normal(size=(1, 3)))
-    w_prev = Tensor(rng.normal(size=(1, 3)))
-    v_prev = Tensor(rng.normal(size=(1, 4)))
+    f_t = Tensor(rng.normal(size=(1, 1, 3)))
+    w_prev = Tensor(rng.normal(size=(1, 1, 3)))
+    v_prev = Tensor(rng.normal(size=(1, 1, 4)))
     h_prev = Tensor(rng.normal(size=(1, 3)))
     gru = [t for name, t in params.named_tensors() if name.startswith("gru_")]
 
@@ -226,15 +232,15 @@ def test_decoder_step_rows_equal_chained_single_steps():
     rng = np.random.default_rng(17)
     for steps in range(1, 7):
         params = DecoderParams(dims, rng=np.random.default_rng(50 + steps))
-        f, w, v = (rng.normal(size=(steps, n)) for n in (3, 3, 4))
+        f, w, v = (rng.normal(size=(1, steps, n)) for n in (3, 3, 4))
         h0 = Tensor(rng.normal(size=(1, 3)))
         rows = decoder.decoder_step(Tensor(f), Tensor(w), Tensor(v), h0, params).data
-        assert rows.shape == (steps, 3)
+        assert rows.shape == (1, steps, 3)
         state = h0
         for t in range(steps):
-            state = decoder.decoder_step(Tensor(f[t:t + 1]), Tensor(w[t:t + 1]),
-                                         Tensor(v[t:t + 1]), state, params)
-            assert np.allclose(rows[t], state.data[0], rtol=0.0, atol=1e-12)
+            state = getitem(decoder.decoder_step(Tensor(f[:, t:t + 1]), Tensor(w[:, t:t + 1]),
+                                                 Tensor(v[:, t:t + 1]), state, params), 0)
+            assert np.allclose(rows[0, t], state.data[0], rtol=0.0, atol=1e-12)
 
 
 def test_heads_and_attention_rows_equal_single_row_calls():
@@ -254,8 +260,8 @@ def test_heads_and_attention_rows_equal_single_row_calls():
                            rtol=0.0, atol=1e-15)
         assert np.allclose(vocab[t], decoder.vocab_logits(one_f, one_h, params).data[0],
                            rtol=0.0, atol=1e-15)
-        assert np.allclose(copy[t], decoder.copy_logits(one_f, one_h, counts[t], params).data[0],
-                           rtol=0.0, atol=1e-15)
+        assert np.allclose(copy[t], decoder.copy_logits(one_f, one_h, counts[t:t + 1],
+                                                        params).data[0], rtol=0.0, atol=1e-15)
         assert (copy[t, counts[t]:] == 0.0).all()
 
 
@@ -286,7 +292,7 @@ def test_vocab_head_hand_set_two_word_vocabulary():
 def test_copy_head_single_word_is_certain():
     dims = tiny_dims()
     params = DecoderParams(dims, rng=np.random.default_rng(13))
-    dist = decoder.copy_logits(Tensor(np.ones((1, 3))), Tensor(np.ones((1, 3))), 1, params)
+    dist = decoder.copy_logits(Tensor(np.ones((1, 3))), Tensor(np.ones((1, 3))), [1], params)
     assert dist.data[0, 0] == 1.0
     assert np.allclose(dist.data[0, 1:], 0.0)
 
@@ -294,7 +300,7 @@ def test_copy_head_single_word_is_certain():
 def test_copy_head_uniform_when_weights_zero():
     dims = tiny_dims()
     params = zeroed_params(dims)
-    dist = decoder.copy_logits(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))), 4, params)
+    dist = decoder.copy_logits(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))), [4], params)
     assert np.allclose(dist.data, 0.25)
 
 
@@ -303,7 +309,7 @@ def test_copy_head_emits_fact_word():
     dims = tiny_dims()
     params = zeroed_params(dims)
     dist = decoder.copy_logits(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))),
-                               len(fact.factual_words), params)
+                               [len(fact.factual_words)], params)
     assert fact.factual_words[int(np.argmax(dist.data))] == "elsloo"
 
 
@@ -311,7 +317,7 @@ def test_copy_head_rejects_empty_fact():
     dims = tiny_dims()
     params = zeroed_params(dims)
     with pytest.raises(EmptyFactError):
-        decoder.copy_logits(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))), 0, params)
+        decoder.copy_logits(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))), [0], params)
 
 
 def routing_fixture():

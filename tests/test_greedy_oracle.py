@@ -28,51 +28,53 @@ from factdesc.decoder import (
     slot_embedding,
     vocab_logits,
 )
-from factdesc.tensor import Tensor, embedding_rows
+from factdesc.tensor import Tensor, embedding_rows, getitem
 
 WORDLESS = corpus.Fact.build("kind", "of the")  # every value word is a stopword
 
 
 def replay(entity, params, vocab, config, max_len, tokens, trace):
-    """Check one decode step by step against the layer functions."""
+    """Check one decode step by step against the layer functions, each
+    called on a batch of one entity and one step."""
     dims = params.dims
     enc = params.encode(entity, vocab, config.encoder_config(), config.max_facts)
     keys = attention_keys(enc.embeddings, params)
-    mask = enc.mask.copy()
+    mask = enc.mask[None].copy()  # (1, S)
     if config.copy_only:
-        mask[enc.mean_slot] = False
-    h = Tensor(np.zeros((1, dims.hidden_dim)))
-    w_prev = Tensor(np.zeros((1, dims.embed_dim)))
-    v_prev = Tensor(np.zeros((1, dims.copy_width)))
+        mask[0, enc.mean_slot] = False
+    h = Tensor(np.zeros((1, 1, dims.hidden_dim)))  # (B, T, H)
+    w_prev = Tensor(np.zeros((1, 1, dims.embed_dim)))
+    v_prev = Tensor(np.zeros((1, 1, dims.copy_width)))
     for token, row in trace:
         slot = int(np.argmax(row))
         alpha = fact_attention(keys, mask, h, params)
         # wordless facts that won an earlier attempt of this step are masked
         while (top := int(np.argmax(alpha.data[0]))) != slot:
             assert top != enc.mean_slot and enc.word_counts[top] == 0
-            mask[top] = False
+            mask[0, top] = False
             alpha = fact_attention(keys, mask, h, params)
         assert np.abs(alpha.data[0] - row).max() <= 1e-12
-        f_t = slot_embedding(enc.embeddings, slot)
-        h = decoder_step(f_t, w_prev, v_prev, h, params)
+        h = decoder_step(slot_embedding(enc.embeddings, [[slot]]), w_prev, v_prev,
+                         getitem(h, 0), params)
+        f_t, h_t = slot_embedding(enc.embeddings, [slot]), getitem(h, 0)  # (1, d), (1, H)
         if slot == enc.mean_slot:
-            dist = vocab_logits(attention_context(alpha, enc.embeddings), h, params)
+            dist = vocab_logits(attention_context(alpha, enc.embeddings), h_t, params)
             word = int(np.argmax(dist.data[0, : len(vocab)]))
             assert token == vocab.word(word)
-            w_prev = embedding_rows(params.word_emb, [word])
-            v_prev = Tensor(np.zeros((1, dims.copy_width)))
+            w_prev = embedding_rows(params.word_emb, [[word]])
+            v_prev = Tensor(np.zeros((1, 1, dims.copy_width)))
         else:
-            pos = int(np.argmax(copy_logits(f_t, h, enc.word_counts[slot], params).data))
+            pos = int(np.argmax(copy_logits(f_t, h_t, [enc.word_counts[slot]], params).data))
             assert token == entity.facts[slot].factual_words[pos]
-            onehot = np.zeros((1, dims.copy_width))
-            onehot[0, pos] = 1.0
-            w_prev, v_prev = Tensor(np.zeros((1, dims.embed_dim))), Tensor(onehot)
+            onehot = np.zeros((1, 1, dims.copy_width))
+            onehot[0, 0, pos] = 1.0
+            w_prev, v_prev = Tensor(np.zeros((1, 1, dims.embed_dim))), Tensor(onehot)
     if len(trace) < max_len and not (trace and trace[-1][0] == EOS):
         # decoding stopped early: attending masks every slot left, one by one
         while mask.any():
             top = int(np.argmax(fact_attention(keys, mask, h, params).data[0]))
             assert top != enc.mean_slot and enc.word_counts[top] == 0
-            mask[top] = False
+            mask[0, top] = False
     assert tokens == [t for t, _ in trace if t not in (EOS, UNK)]
 
 

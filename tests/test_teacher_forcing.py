@@ -1,12 +1,13 @@
 """``step_loss`` and ``batch_loss`` against a per-token teacher-forced loop.
 
 The oracle below is the loss written one token at a time, as greedy
-decoding runs: every layer is called with one row, and the GRU step is
-composed from tape primitives (affine, add, mul, tanh) rather than the
-fused ``gru`` node, so its gradient comes from the tape alone.  The
-batched losses, of one entity and of a padded minibatch, must give the
-same loss and the same gradients on random small models and toy
-entities (drawn from a fixed seed, so the suite reruns the same cases).
+decoding runs: every layer is called on a batch of one entity and one
+step, and the GRU step is composed from tape primitives (affine, add,
+mul, tanh) rather than the fused ``gru`` node, so its gradient comes
+from the tape alone.  The batched losses, of one entity and of a padded
+minibatch, must give the same loss and the same gradients on random
+small models and toy entities (drawn from a fixed seed, so the suite
+reruns the same cases).
 """
 
 import dataclasses
@@ -27,7 +28,7 @@ from factdesc.decoder import (
     vocab_logits,
 )
 from factdesc.tensor import (Tape, Tensor, add, affine, backward, concat, embedding_rows, mul,
-                             nll, tanh)
+                             nll, reshape, tanh)
 
 HALF = Tensor(0.5)
 MINUS_ONE = Tensor(-1.0)
@@ -48,9 +49,9 @@ def per_token_loss(entity, aligned, params, vocab, config):
     dims = params.dims
     enc = params.encode(entity, vocab, config.encoder_config(), config.max_facts)
     keys = attention_keys(enc.embeddings, params)
-    mask = enc.mask.copy()
+    mask = enc.mask[None].copy()  # (1, S)
     if config.copy_only:
-        mask[enc.mean_slot] = False
+        mask[0, enc.mean_slot] = False
     h = Tensor(np.zeros((1, dims.hidden_dim)))
     w_prev = Tensor(np.zeros((1, dims.embed_dim)))
     v_prev = Tensor(np.zeros((1, dims.copy_width)))
@@ -60,12 +61,12 @@ def per_token_loss(entity, aligned, params, vocab, config):
         gold = token.fact_index if copied else enc.mean_slot
         scored = copied or not config.copy_only
         if scored:
-            alpha = fact_attention(keys, mask, h, params)
+            alpha = fact_attention(keys, mask, reshape(h, (1, 1, dims.hidden_dim)), params)
             terms.append(nll(alpha, [gold]))
-        f_t = slot_embedding(enc.embeddings, gold)
+        f_t = slot_embedding(enc.embeddings, [gold])
         h = _gru_step(concat([f_t, w_prev, v_prev], axis=1), h, params)
         if copied:
-            dist = copy_logits(f_t, h, enc.word_counts[gold], params)
+            dist = copy_logits(f_t, h, [enc.word_counts[gold]], params)
             terms.append(nll(dist, [token.copy_pos]))
             onehot = np.zeros((1, dims.copy_width))
             onehot[0, token.copy_pos] = 1.0

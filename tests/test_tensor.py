@@ -28,45 +28,37 @@ def test_matmul_hand_product():
     assert np.array_equal(T.matmul(a, b).data, [[17.0], [39.0]])
 
 
-def test_matmul_matrix_vector():
-    a = T.Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
-    v = T.Tensor([5.0, 6.0], requires_grad=True)
-    out = T.matmul(a, v)
-    assert np.array_equal(out.data, [17.0, 39.0])
-
-    def f(params):
-        return T.sum_all(T.tanh(T.matmul(params[0], params[1])))
-
-    assert T.grad_check(f, [a, v]) < 1e-6
-
-
 def test_matmul_shape_error_names_both_shapes():
     a = T.Tensor(np.zeros((2, 3)))
     b = T.Tensor(np.zeros((2, 3)))
     with pytest.raises(ShapeError) as exc:
         T.matmul(a, b)
     assert "(2, 3)" in str(exc.value)
+    # a 1-D operand is no vector: a row is (1, k), a column (k, 1)
+    for a, b in (((2, 3), (3,)), ((2,), (2, 3))):
+        with pytest.raises(ShapeError) as exc:
+            T.matmul(T.Tensor(np.zeros(a)), T.Tensor(np.zeros(b)))
+        assert "(2, 3)" in str(exc.value)
 
 
 def test_masked_softmax_uniform():
-    v = T.Tensor([0.0, 0.0, 0.0])
+    v = T.Tensor([[0.0, 0.0, 0.0]])
     p = T.masked_softmax(v, np.array([True, True, True]))
-    assert np.allclose(p.data, [1 / 3, 1 / 3, 1 / 3])
+    assert np.allclose(p.data, [[1 / 3, 1 / 3, 1 / 3]])
 
 
 def test_masked_softmax_two_live_entries():
-    v = T.Tensor([1.0, 2.0, 123.0])
-    p = T.masked_softmax(v, np.array([True, True, False]))
-    assert p.data[2] == 0.0
-    assert abs(p.data[0] - 0.2689) < 1e-4
-    assert abs(p.data[1] - 0.7311) < 1e-4
-    assert abs(p.data.sum() - 1.0) < 1e-12
+    v = T.Tensor([[1.0, 2.0, 123.0]])
+    p = T.masked_softmax(v, np.array([True, True, False])).data[0]
+    assert p[2] == 0.0
+    assert abs(p[0] - 0.2689) < 1e-4
+    assert abs(p[1] - 0.7311) < 1e-4
+    assert abs(p.sum() - 1.0) < 1e-12
 
 
 def test_masked_softmax_all_masked_rejected():
     with pytest.raises(InvalidMaskError):
-        T.masked_softmax(T.Tensor([1.0, 2.0]), np.array([False, False]))
-
+        T.masked_softmax(T.Tensor([[1.0, 2.0]]), np.array([False, False]))
 
 def test_masked_softmax_rows_with_per_row_masks():
     rng = np.random.default_rng(9)
@@ -75,10 +67,10 @@ def test_masked_softmax_rows_with_per_row_masks():
     mask[np.arange(5), rng.integers(0, 7, 5)] = True
     p = T.masked_softmax(T.Tensor(x), mask).data
     for row, row_mask, out in zip(x, mask, p):
-        assert np.array_equal(out, T.masked_softmax(T.Tensor(row), row_mask).data)
+        assert np.array_equal(out, T.masked_softmax(T.Tensor(row[None]), row_mask).data[0])
     shared = T.masked_softmax(T.Tensor(x), mask[0]).data
     for row, out in zip(x, shared):
-        assert np.array_equal(out, T.masked_softmax(T.Tensor(row), mask[0]).data)
+        assert np.array_equal(out, T.masked_softmax(T.Tensor(row[None]), mask[0]).data[0])
     dead = mask.copy()
     dead[3] = False
     with pytest.raises(InvalidMaskError):
@@ -86,6 +78,8 @@ def test_masked_softmax_rows_with_per_row_masks():
     for bad in (mask[:, :6], mask[:4], mask[None]):
         with pytest.raises(ShapeError):
             T.masked_softmax(T.Tensor(x), bad)
+    with pytest.raises(ShapeError):  # one row without its row axis
+        T.masked_softmax(T.Tensor(x[0]), mask[0])
 
 
 def test_nll_over_rows_sums_and_scatters():
@@ -103,6 +97,8 @@ def test_nll_over_rows_sums_and_scatters():
     assert np.array_equal(p.grad, expected)
     with pytest.raises(ShapeError):
         T.nll(p, [0, 1])
+    with pytest.raises(ShapeError):  # one distribution without its row axis
+        T.nll(T.Tensor(p.data[0]), 2)
     p.grad = None
     with T.Tape() as tape:
         loss = T.nll(p, [1, 3], rows=[2, 0])
@@ -110,15 +106,14 @@ def test_nll_over_rows_sums_and_scatters():
     T.backward(loss, tape)
     assert np.count_nonzero(p.grad) == 2 and p.grad[1].tolist() == [0.0] * 4
 
-
 @pytest.mark.parametrize("steps", range(1, 7))
 def test_gru_gradients_match_finite_differences(steps):
     # all 11 inputs, including a random initial state
     rng = np.random.default_rng(300 + steps)
     n_in, hidden = 4, 3
-    params = _random_params(rng, (steps, n_in), (1, hidden),
+    params = _random_params(rng, (1, steps, n_in), (1, hidden),
                             *[(hidden, n_in), (hidden, hidden), (hidden,)] * 3)
-    weights = T.Tensor(rng.normal(size=(steps, hidden)))
+    weights = T.Tensor(rng.normal(size=(1, steps, hidden)))
 
     def f(ps):
         return T.sum_all(T.mul(T.gru(*ps), weights))
@@ -149,8 +144,8 @@ def test_batched_gru_rows_equal_one_sequence_each():
     rows = T.gru(T.Tensor(x), T.Tensor(h0), *weights).data
     assert rows.shape == (4, 5, 3)
     for b in range(4):
-        one = T.gru(T.Tensor(x[b]), T.Tensor(h0[b:b + 1]), *weights).data
-        assert np.allclose(rows[b], one, rtol=0.0, atol=1e-14)
+        one = T.gru(T.Tensor(x[b:b + 1]), T.Tensor(h0[b:b + 1]), *weights).data
+        assert np.allclose(rows[b], one[0], rtol=0.0, atol=1e-14)
 
 
 def test_batched_gru_padded_steps_get_exactly_zero_gradient():
@@ -183,10 +178,10 @@ def test_batched_gru_padded_steps_get_exactly_zero_gradient():
 def test_gru_rejects_mismatched_shapes():
     rng = np.random.default_rng(11)
     weights = _random_params(rng, *[(3, 4), (3, 3), (3,)] * 3)
-    with pytest.raises(ShapeError):
-        T.gru(T.Tensor(np.zeros((2, 5))), T.Tensor(np.zeros((1, 3))), *weights)
-    with pytest.raises(ShapeError):
-        T.gru(T.Tensor(np.zeros((2, 4))), T.Tensor(np.zeros((2, 3))), *weights)
+    # input width, state rows, and one sequence (T, I) without a batch axis
+    for x, h0 in (((1, 2, 5), (1, 3)), ((1, 2, 4), (2, 3)), ((2, 4), (1, 3))):
+        with pytest.raises(ShapeError):
+            T.gru(T.Tensor(np.zeros(x)), T.Tensor(np.zeros(h0)), *weights)
 
 
 def test_backward_sum_gives_ones():
@@ -206,12 +201,12 @@ def test_backward_square():
 
 
 def test_backward_softmax_nll_is_p_minus_onehot():
-    z = T.Tensor([0.0, 0.0], requires_grad=True)
+    z = T.Tensor([[0.0, 0.0]], requires_grad=True)
     with T.Tape() as tape:
         p = T.masked_softmax(z, np.array([True, True]))
-        loss = T.nll(p, 0)
+        loss = T.nll(p, [0])
     T.backward(loss, tape)
-    assert np.allclose(z.grad, [-0.5, 0.5])
+    assert np.allclose(z.grad, [[-0.5, 0.5]])
 
 
 def test_backward_requires_scalar_loss():
@@ -373,7 +368,8 @@ def test_grad_check_every_primitive(seed):
         "concat": (lambda ps: T.sum_all(T.mul(c := T.concat(ps, axis=0), c)),
                    _random_params(rng, (2, m), (3, m))),
         "tanh": (lambda ps: T.sum_all(T.tanh(ps[0])), [vec]),
-        "masked_softmax": (lambda ps: T.nll(T.masked_softmax(ps[0], mask), 0), [vec]),
+        "masked_softmax": (lambda ps: T.nll(T.masked_softmax(T.reshape(ps[0], (1, n)), mask),
+                                            [0]), [vec]),
         "masked_softmax rows": (lambda ps: T.nll(T.masked_softmax(ps[0], row_mask), gold),
                                 [weights]),
         "embedding_rows": (lambda ps: T.sum_all(T.mul(e := T.embedding_rows(ps[0], idx), e)),
@@ -390,7 +386,7 @@ def test_grad_check_every_primitive(seed):
         "embedding_rows grid": (lambda ps: T.sum_all(T.mul(
             e := T.embedding_rows(ps[0], idx.reshape(3, 1)), e)), [table]),
         "gru": (lambda ps: T.sum_all(T.mul(g := T.gru(*ps), g)),
-                _random_params(rng, (n, k), (1, m), *[(m, k), (m, m), (m,)] * 3)),
+                _random_params(rng, (1, n, k), (1, m), *[(m, k), (m, m), (m,)] * 3)),
         "gru batch": (lambda ps: T.sum_all(T.mul(g := T.gru(*ps), g)),
                       _random_params(rng, (3, n, k), (3, m), *[(m, k), (m, m), (m,)] * 3)),
         "segment_sum": (lambda ps: T.sum_all(T.mul(s := T.segment_sum(ps[0], runs), s)), [a]),
@@ -447,7 +443,7 @@ def test_masked_softmax_distribution_properties():
         mask = rng.uniform(size=n) < 0.6
         if not mask.any():
             mask[int(rng.integers(0, n))] = True
-        p = T.masked_softmax(T.Tensor(rng.normal(size=n) * 10), mask).data
+        p = T.masked_softmax(T.Tensor(rng.normal(size=(1, n)) * 10), mask).data[0]
         assert (p >= 0).all()
         assert abs(p.sum() - 1.0) < 1e-12
         assert (p[~mask] == 0.0).all()
