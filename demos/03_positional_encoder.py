@@ -35,7 +35,7 @@ entity = corpus.Entity("Q19345316", [
 ], None)
 
 for mode in ("positional", "mean_pool"):
-    cfg = EncoderConfig(embedding_dim=d, encoding=mode)
+    cfg = EncoderConfig(encoding=mode)
     enc = encode_entity(entity, table, vocab, cfg, max_facts=4)
     print(f"\n{mode} encoding (rows: fact 0, fact 1, mean fact):")
     print(enc.embeddings.data)

@@ -12,7 +12,6 @@ position's one-hot, never both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -146,18 +145,6 @@ class DecoderParams:
         arrays = {name: t.data.copy() for name, t in self.named_tensors()}
         return DecoderParams(self.dims, self.mean_fact_mode, arrays=arrays)
 
-    def encode(self, entity, vocab, enc_cfg, max_facts):
-        if enc_cfg.mean_fact != self.mean_fact_mode:
-            raise ConfigError(f"encoder mean_fact mode {enc_cfg.mean_fact!r} does not match "
-                              f"the parameters' {self.mean_fact_mode!r}")
-        return encode_entity(entity, self.word_emb, vocab, enc_cfg, max_facts,
-                             fixed_mean=self.fixed_mean())
-
-
-@lru_cache(maxsize=None)
-def _all_true(n):
-    return np.ones(n, dtype=bool)
-
 
 # Teacher-forced training calls each layer below once per minibatch, the B
 # entities' slots padded to S and steps to T: states and GRU inputs are
@@ -211,7 +198,7 @@ def vocab_logits(c, h, params):
     """Distributions over the vocabulary from the rows [c_t; h_t]."""
     hidden = relu(affine(concat([c, h], axis=1), params.vocab_hidden_w, params.vocab_hidden_b))
     scores = affine(hidden, params.vocab_out_w, params.vocab_out_b)
-    return masked_softmax(scores, _all_true(params.dims.vocab_size))
+    return masked_softmax(scores, np.ones(params.dims.vocab_size, dtype=bool))
 
 
 def copy_logits(f, h, n_words, params):
@@ -242,7 +229,7 @@ def greedy_decode(entity, params, vocab, enc_cfg, max_facts, max_len,
     The layers above, regrouped: each slot passes through the GRU's fact
     columns once, and a copy feeds back its position's column, not a one-hot.
     """
-    enc = params.encode(entity, vocab, enc_cfg, max_facts)
+    enc = encode_entity(entity, params.word_emb, vocab, enc_cfg, max_facts, params.fixed_mean())
     slots = enc.embeddings.data
     keys = attention_keys(enc.embeddings, params).data
     mask = enc.mask.copy()
@@ -267,7 +254,7 @@ def greedy_decode(entity, params, vocab, enc_cfg, max_facts, max_len,
                 alpha = np.exp(masked - masked.max())
                 alpha /= alpha.sum()
                 slot = int(alpha.argmax())  # ties toward the lowest slot
-                if slot == enc.mean_slot or enc.word_counts[slot]:
+                if slot == enc.mean_slot or entity.facts[slot].factual_words:
                     break
                 mask[slot] = False
             else:
@@ -283,7 +270,7 @@ def greedy_decode(entity, params, vocab, enc_cfg, max_facts, max_len,
                 if token != EOS:
                     feedback = [w[:, d:2 * d] @ p["word_emb"][word] for w in gate_x]
             else:
-                n_words = enc.word_counts[slot]
+                n_words = len(entity.facts[slot].factual_words)
                 if n_words > params.dims.copy_width:
                     raise ShapeError(f"n_words {n_words} outside 1..{params.dims.copy_width}")
                 mixed = np.concatenate([slots[slot], h])

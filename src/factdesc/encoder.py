@@ -10,14 +10,17 @@ so early and late phrase positions project into different embedding
 subspaces; ``mean_pool`` mode replaces this with a plain average (every
 weight 1/J).  The mean of all fact embeddings is appended as one extra
 slot (the phantom fact that generates vocabulary words), so an entity
-with N facts exposes exactly N + 1 slots.
+with N facts exposes exactly N + 1 slots; a frozen vector, when given,
+stands in for that mean.  d is the width of the word table.
 
-An entity is encoded in one pass in either mode: one gather of all its
-phrase words, one product with the stacked (J, d) weight blocks, one sum
-per fact's run of rows.  The runs are summed one by one, not by a GEMM
-with a 0/1 segment matrix, whose summation order depends on where a run
-sits: facts with the same words must tie exactly, as attention breaks
-ties toward the lower slot.
+A minibatch of B entities is encoded in one pass in either mode
+(:func:`encode_entities`): one gather of all their phrase words, one
+product with the stacked (J, d) weight blocks, one sum per fact's run of
+rows, and one product of a (B, ΣN) block of 1/N rows with the fact rows
+for the B means.  The runs are summed one by one, not by a GEMM with a
+0/1 segment matrix, whose summation order depends on where a run sits:
+facts with the same words must tie exactly, as attention breaks ties
+toward the lower slot.  :func:`encode_entity` is the batch of one.
 """
 
 from __future__ import annotations
@@ -37,33 +40,26 @@ MEAN_FACT_MODES = ("mean", "fixed_random")
 
 @dataclass
 class EncoderConfig:
-    embedding_dim: int = 100
     encoding: str = "positional"
-    mean_fact: str = "mean"
     max_phrase_len: int = 60
 
     def __post_init__(self):
-        if self.embedding_dim < 1:
-            raise ConfigError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
         if self.encoding not in ENCODING_MODES:
             raise ConfigError(f"unknown encoding mode {self.encoding!r}")
-        if self.mean_fact not in MEAN_FACT_MODES:
-            raise ConfigError(f"unknown mean_fact mode {self.mean_fact!r}")
 
 
 @dataclass
 class EncodedEntity:
-    """Slot matrix an entity exposes to the decoder.
+    """Slot matrix one entity exposes to greedy decoding.
 
     ``embeddings`` has N + 1 rows: the N fact embeddings, then the mean
-    fact.  ``mask`` starts all true; decoders copy it to switch slots off.
-    ``word_counts`` holds each fact's number of copyable words.
+    fact, as :func:`encode_entities` returns them for a batch of one.
+    ``mask`` starts all true; decoders copy it to switch slots off.
     """
 
     embeddings: Tensor
     mask: np.ndarray
     n_facts: int
-    word_counts: list[int]
 
     @property
     def mean_slot(self):
@@ -89,44 +85,45 @@ def _weight_block(phrase_len, dim, encoding):
     return np.full((phrase_len, dim), 1.0 / phrase_len)
 
 
-@lru_cache(maxsize=None)
-def _mean_weights(n):
-    return Tensor(np.full((1, n), 1.0 / n))
-
-
 def fixed_mean_vector(rng, dim):
     """The frozen stand-in for the mean fact, sampled once at init."""
     bound = 1.0 / np.sqrt(dim)
     return rng.uniform(-bound, bound, size=(1, dim))
 
 
+def encode_entities(entities, word_embeddings, vocab, cfg, max_facts=DEFAULT_MAX_FACTS,
+                    fixed_mean=None):
+    """Fact rows (ΣN, d) of B entities, entity by entity, then their mean rows (B, d).
+
+    Each entity contributes its first ``max_facts`` facts; phrases are cut
+    to ``cfg.max_phrase_len`` words, and unknown words read ``<UNK>``.  The
+    mean rows are the (1, d) ``fixed_mean`` repeated when it is given.
+    """
+    phrases, spans = [], []  # spans: (first fact row, fact count) per entity
+    for entity in entities:
+        cut = [f.phrase()[: cfg.max_phrase_len] for f in entity.facts[:max_facts]]
+        if not cut or not all(cut):
+            what = "a fact with an empty phrase" if cut else "an entity without facts"
+            raise ConfigError(f"entity {entity.id}: cannot encode {what}")
+        spans.append((len(phrases), len(cut)))
+        phrases += cut
+    lengths = [len(p) for p in phrases]
+    dim = word_embeddings.data.shape[1]
+    words = embedding_rows(word_embeddings, vocab.indices([w for p in phrases for w in p]))
+    weights = np.concatenate([_weight_block(j, dim, cfg.encoding) for j in lengths])
+    rows = segment_sum(mul(words, Tensor(weights)), lengths)
+    if fixed_mean is not None:
+        return rows, embedding_rows(fixed_mean, np.zeros(len(spans), dtype=np.intp))
+    block = np.zeros((len(spans), len(phrases)))  # row b: 1/N_b over entity b's fact rows
+    for b, (start, n) in enumerate(spans):
+        block[b, start:start + n] = 1.0 / n
+    return rows, matmul(Tensor(block), rows)
+
+
 def encode_entity(entity, word_embeddings, vocab, cfg, max_facts=DEFAULT_MAX_FACTS,
                   fixed_mean=None):
-    """The first ``max_facts`` fact embeddings plus the mean-fact slot.
-
-    Phrases are cut to ``cfg.max_phrase_len`` words; unknown words read ``<UNK>``.
-    """
-    facts = entity.facts[:max_facts]
-    n = len(facts)
-    if n == 0:
-        raise ConfigError(f"entity {entity.id} has no facts to encode")
-    phrases = [f.phrase()[: cfg.max_phrase_len] for f in facts]
-    lengths = [len(p) for p in phrases]
-    if 0 in lengths:
-        raise ConfigError(f"entity {entity.id}: cannot encode a fact with an empty phrase")
-    words = embedding_rows(word_embeddings, vocab.indices([w for p in phrases for w in p]))
-    weights = np.concatenate([_weight_block(j, cfg.embedding_dim, cfg.encoding)
-                              for j in lengths])
-    stacked = segment_sum(mul(words, Tensor(weights)), lengths)
-    if cfg.mean_fact == "mean":
-        mean_row = matmul(_mean_weights(n), stacked)
-    else:
-        if fixed_mean is None:
-            raise ConfigError("fixed_random mean-fact mode needs the frozen vector")
-        mean_row = fixed_mean
-    return EncodedEntity(
-        embeddings=concat([stacked, mean_row], axis=0),
-        mask=np.ones(n + 1, dtype=bool),
-        n_facts=n,
-        word_counts=[len(f.factual_words) for f in facts],
-    )
+    """The first ``max_facts`` fact embeddings plus the mean-fact slot:
+    :func:`encode_entities` of a batch of one."""
+    n = min(len(entity.facts), max_facts)
+    slots = concat(encode_entities([entity], word_embeddings, vocab, cfg, max_facts, fixed_mean))
+    return EncodedEntity(slots, np.ones(n + 1, dtype=bool), n)

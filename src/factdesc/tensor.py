@@ -5,7 +5,9 @@ an operation appends a node to the innermost active ``Tape`` only when an
 input requires gradients, but even outside a tape it builds a ``Tensor``
 per call, so greedy decoding steps on plain arrays (:func:`gru_step`).
 ``backward`` replays a tape once in reverse and accumulates into
-``Tensor.grad``; a trainer records a whole minibatch on one tape.  Products,
+``Tensor.grad``; a trainer records a whole minibatch on one tape, so a
+table is gathered a few times per minibatch and every gradient is dense
+(:func:`embedding_rows` scatter-adds into a zero table).  Products,
 softmaxes, losses and the GRU take rows: one distribution is (1, K), not (K,).
 
 All arithmetic is double precision; checkpoints downcast to float32 on
@@ -51,16 +53,6 @@ class Tensor:
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
         return f"Tensor{tag}(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-
-class _RowUpdate:
-    """Sparse gradient contribution: add ``g`` into the listed rows."""
-
-    __slots__ = ("idx", "g")
-
-    def __init__(self, idx, g):
-        self.idx = idx
-        self.g = g
 
 
 @dataclass(slots=True)
@@ -238,7 +230,9 @@ def embedding_rows(table, indices):
     out = Tensor(table.data[idx])
 
     def grad_fn(g):
-        return (_RowUpdate(idx.reshape(-1), g.reshape(idx.size, -1)),)
+        gt = np.zeros_like(table.data)
+        np.add.at(gt, idx.reshape(-1), g.reshape(idx.size, -1))
+        return (gt,)
 
     return _record("embedding_rows", (table,), out, grad_fn)
 
@@ -421,11 +415,7 @@ def backward(loss, tape):
         for t, c in zip(node.inputs, contribs):
             if c is None or not t.requires_grad:
                 continue
-            if isinstance(c, _RowUpdate):
-                if t.grad is None:
-                    t.grad = np.zeros_like(t.data)
-                np.add.at(t.grad, c.idx, c.g)
-            elif t.grad is None:
+            if t.grad is None:
                 t.grad = np.array(c)  # owns memory; c may be a view
             else:
                 t.grad += c

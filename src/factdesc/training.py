@@ -7,7 +7,8 @@ routes to (copy position for fact-aligned tokens, vocabulary index
 otherwise, ``<UNK>`` included).  Teacher forcing feeds the gold slot's
 embedding and the gold previous-word feedback throughout.  ``train``
 records each minibatch's loss (:func:`batch_loss`) on one tape and
-replays it once; ``step_loss`` is the same loss for a batch of one.
+replays it once; ``step_loss`` is the same loss for a batch of one.  One
+``encode_entities`` call and one gather give the minibatch's padded slots.
 
 Checkpoint files are binary: magic ``FKS1``, a little-endian uint32
 manifest length, a UTF-8 JSON manifest (version, config, vocabulary,
@@ -41,7 +42,7 @@ from .decoder import (
     vocab_logits,
     copy_logits,
 )
-from .encoder import EncoderConfig
+from .encoder import MEAN_FACT_MODES, EncoderConfig, encode_entities
 from .errors import CheckpointError, ConfigError, DataError, TrainingDivergenceError
 from .metrics import EvalPair, bleu
 from .tensor import (AdamState, Tape, Tensor, adam_step, add, backward, concat, embedding_rows,
@@ -85,15 +86,16 @@ class TrainConfig:
         for name in positive:
             if (value := getattr(self, name)) is not None and not 0 < value < np.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
-        self.encoder_config()  # validates the mode names
+        self.encoder_config()  # validates the encoding mode
+        if self.mean_fact not in MEAN_FACT_MODES:
+            raise ConfigError(f"unknown mean_fact mode {self.mean_fact!r}")
 
     def dims(self):
         return ModelDims(self.embed_dim, self.hidden_dim, self.attn_dim,
                          self.head_dim, self.vocab_size + 3, self.max_factual_words)
 
     def encoder_config(self):
-        return EncoderConfig(self.embed_dim, self.encoding, self.mean_fact,
-                             max_phrase_len=self.max_factual_words)
+        return EncoderConfig(self.encoding, max_phrase_len=self.max_factual_words)
 
     def to_dict(self):
         return dataclasses.asdict(self)
@@ -151,18 +153,16 @@ def batch_loss(entities, aligned, params, vocab, config, parts=False):
     slots padded to the most any entity has and the steps to the longest.
     """
     dims = params.dims
-    encs = []
-    for entity, tokens in zip(entities, aligned):
-        if tokens.entity_id != entity.id:
-            raise DataError(f"alignment for {tokens.entity_id} applied to entity {entity.id}")
-        encs.append(params.encode(entity, vocab, config.encoder_config(), config.max_facts))
-    n_facts = np.array([enc.n_facts for enc in encs])
-    batch, steps, slots = len(encs), max(len(a.tokens) for a in aligned), n_facts.max() + 1
+    n_facts = np.array([min(len(entity.facts), config.max_facts) for entity in entities])
+    fact_rows, mean_rows = encode_entities(entities, params.word_emb, vocab,
+                                           config.encoder_config(), config.max_facts,
+                                           params.fixed_mean())
+    batch, steps, slots = len(entities), max(len(a.tokens) for a in aligned), n_facts.max() + 1
     # the mean-fact slot n is live unless copy_only; padding slots never are
     mask = np.arange(slots) < n_facts[:, None] + (not config.copy_only)
-    word_counts = np.zeros((batch, slots), dtype=np.intp)
     gold = np.repeat(n_facts[:, None], steps, axis=1)  # gold slot per step
     target = np.zeros((batch, steps), dtype=np.intp)  # copy position or word index
+    n_words = np.zeros((batch, steps), dtype=np.intp)  # the gold fact's words, copy steps
     copied = np.zeros((batch, steps), dtype=bool)
     # step t's feedback is token t-1: its word embedding after a vocabulary
     # step, its copy position's one-hot after a copy step, zeros at t = 0
@@ -170,16 +170,18 @@ def batch_loss(entities, aligned, params, vocab, config, parts=False):
     words = np.zeros((batch, steps), dtype=np.intp)
     fed = np.zeros((batch, steps, 1))
     onehots = np.zeros((batch, steps, dims.copy_width))
-    for b, (entity, enc, tokens) in enumerate(zip(entities, encs, aligned)):
-        word_counts[b, :enc.n_facts] = enc.word_counts
+    for b, (entity, tokens) in enumerate(zip(entities, aligned)):
+        if tokens.entity_id != entity.id:
+            raise DataError(f"alignment for {tokens.entity_id} applied to entity {entity.id}")
         for t, token in enumerate(tokens.tokens):
             if token.source is Source.FACT:
-                if not (0 <= token.fact_index < enc.n_facts
-                        and 0 <= token.copy_pos < enc.word_counts[token.fact_index]):
-                    raise DataError(f"entity {entity.id}: copy position {token.copy_pos} "
-                                    f"of fact {token.fact_index} out of range")
-                copied[b, t], gold[b, t], target[b, t] = True, token.fact_index, token.copy_pos
-                onehots[b, t + 1:t + 2, token.copy_pos] = 1.0
+                i, pos = token.fact_index, token.copy_pos
+                n_words[b, t] = len(entity.facts[i].factual_words) if 0 <= i < n_facts[b] else 0
+                if not 0 <= pos < n_words[b, t]:
+                    raise DataError(f"entity {entity.id}: copy position {pos} "
+                                    f"of fact {i} out of range")
+                copied[b, t], gold[b, t], target[b, t] = True, i, pos
+                onehots[b, t + 1:t + 2, pos] = 1.0
             else:
                 target[b, t] = words[b, t + 1:t + 2] = token.word_index
                 fed[b, t + 1:t + 2] = 1.0
@@ -189,8 +191,13 @@ def batch_loss(entities, aligned, params, vocab, config, parts=False):
         zero = Tensor(0.0)
         return (zero, zero, zero) if parts else zero
 
-    fact_embs = concat([part for enc in encs for part in (
-        enc.embeddings, Tensor(np.zeros((slots - 1 - enc.n_facts, dims.embed_dim))))])
+    # entity b's slot s reads a fact row below n_b, its mean row at n_b, the zero row past it
+    n_rows = len(fact_rows.data)
+    layout = np.full((batch, slots), n_rows + batch)
+    layout[np.arange(slots) < n_facts[:, None]] = np.arange(n_rows)
+    layout[np.arange(batch), n_facts] = n_rows + np.arange(batch)
+    zero_row = Tensor(np.zeros((1, dims.embed_dim)))
+    fact_embs = embedding_rows(concat([fact_rows, mean_rows, zero_row]), layout.reshape(-1))
     gold_rows = gold + np.arange(batch)[:, None] * slots  # rows of fact_embs, (B * S, d)
     w_prev = mul(embedding_rows(params.word_emb, words), Tensor(fed))
     h = decoder_step(slot_embedding(fact_embs, gold_rows), w_prev, Tensor(onehots),
@@ -206,8 +213,7 @@ def batch_loss(entities, aligned, params, vocab, config, parts=False):
     b, t = np.nonzero(copied)
     if b.size:
         dist = copy_logits(slot_embedding(fact_embs, gold_rows[b, t]),
-                           embedding_rows(h_rows, b * steps + t), word_counts[b, gold[b, t]],
-                           params)
+                           embedding_rows(h_rows, b * steps + t), n_words[b, t], params)
         word_terms.append(nll(dist, target[b, t]))
     b, t = np.nonzero(scored & ~copied)
     if b.size:
@@ -373,8 +379,10 @@ def load_checkpoint(path):
     """Read an FKS1 file back into a :class:`Checkpoint`.
 
     Rejects bad magic, version mismatches, malformed manifests, a
-    vocabulary longer than the output rows, tensors that run past or
-    short of the payload or are not finite, and shapes that disagree.
+    vocabulary longer than the output rows, tensor names the config does
+    not declare or that repeat, dtypes other than ``f32``, tensors that
+    run past or short of the payload or are not finite, and shapes that
+    disagree.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
@@ -405,11 +413,18 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: {len(words)} vocabulary words for "
                               f"{config.dims().vocab_size} output rows")
     payload = raw[8 + manifest_len:]
+    known = {name for name, _, _ in param_shapes(config.dims(), config.mean_fact)}
     arrays = {}
     declared = 0
     try:
         for entry in manifest["tensors"]:
             name, shape, offset = entry["name"], entry["shape"], entry["offset"]
+            if name not in known or name in arrays:
+                raise CheckpointError(f"{path}: tensor {name!r} is "
+                                      f"{'repeated' if name in arrays else 'not in the model'}")
+            if entry["dtype"] != "f32":
+                raise CheckpointError(f"{path}: tensor {name!r} has dtype {entry['dtype']!r}, "
+                                      "not f32")
             n_bytes = prod(shape) * 4
             if not 0 <= offset <= len(payload) - n_bytes:
                 raise CheckpointError(f"{path}: tensor {name!r} at byte {offset} runs "

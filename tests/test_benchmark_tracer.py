@@ -2,8 +2,10 @@
 
 The tracer looks the program's functions up by name in each module that
 calls them, so renaming or deleting one breaks traced benchmark runs.
-Here it is installed, driven through one teacher-forced loss, and
-uninstalled: every patched attribute must be replaced, then restored.
+Here it is installed, driven through one teacher-forced loss and one
+greedy decode, and uninstalled: every patched attribute must be replaced,
+then restored.  Training encodes its minibatch with ``encode_entities``,
+so only the decode passes through the wrapped ``decoder.encode_entity``.
 """
 
 import importlib
@@ -36,6 +38,7 @@ def test_tracer_wraps_and_restores_every_name(monkeypatch):
             loss = training.step_loss(entity, training.align_description(entity, vocab),
                                       params, vocab, config)
         training.backward(loss, tape)
+        training.generate_description(training.Checkpoint(params, config, vocab), entity)
     finally:
         tracer.uninstall()
     for module, attr, original in patches:
@@ -43,5 +46,6 @@ def test_tracer_wraps_and_restores_every_name(monkeypatch):
     figures = spans.layer_metrics(tracer, 1.0)
     assert figures["training.step_loss_calls"][0] == 1
     assert figures["encoder.encode_entity_calls"][0] == 1
+    assert figures["decoder.greedy_decode_calls"][0] == 1
     assert figures["decoder.fact_attention_calls"][0] == 1
     assert figures["tensor.backward_calls"][0] == 1

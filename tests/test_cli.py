@@ -211,13 +211,14 @@ def test_attention_single_fact_entity_has_two_columns(trained, tmp_path):
     assert header == ["token", "instance of: road", "MEAN"]
 
 
-def _rewrite_manifest(src, dst, edit):
-    """Copy an FKS1 file with ``edit(manifest)``'s result as its manifest."""
+def _rewrite_manifest(src, dst, edit, extra=b""):
+    """Copy an FKS1 file with ``edit(manifest)``'s result as its manifest
+    and ``extra`` appended to its payload."""
     raw = src.read_bytes()
     (length,) = struct.unpack("<I", raw[4:8])
     manifest = edit(json.loads(raw[8:8 + length]))
     blob = json.dumps(manifest).encode("utf-8")
-    dst.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + length:])
+    dst.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + length:] + extra)
 
 
 def _generate_exit(ckpt, tmp_path, capsys):
@@ -252,6 +253,29 @@ def test_generate_tensor_past_payload_exits_2(trained, tmp_path, capsys):
     _rewrite_manifest(trained[3], bad, shift_last)
     code, err = _generate_exit(bad, tmp_path, capsys)
     assert code == 2 and "runs past" in err
+
+
+@pytest.mark.parametrize("case", ["unknown", "repeated", "dtype"])
+def test_generate_malformed_tensor_entry_exits_2(trained, tmp_path, capsys, case):
+    # an added entry gets payload bytes of its own, so only the entry itself is wrong
+    raw = trained[3].read_bytes()
+    payload = len(raw) - 8 - struct.unpack("<I", raw[4:8])[0]
+
+    def edit(manifest):
+        entries = manifest["tensors"]
+        if case == "dtype":
+            entries[0]["dtype"] = "f64"
+        else:
+            name = "extra_w" if case == "unknown" else "attn_energy_b"
+            entries.append({"name": name, "shape": [1], "dtype": "f32", "offset": payload})
+        return manifest
+
+    bad = tmp_path / "bad.fks"
+    _rewrite_manifest(trained[3], bad, edit,
+                      b"" if case == "dtype" else np.ones(1, dtype="<f4").tobytes())
+    code, err = _generate_exit(bad, tmp_path, capsys)
+    assert code == 2 and {"unknown": "not in the model", "repeated": "repeated",
+                          "dtype": "f64"}[case] in err
 
 
 def test_generate_vocabulary_longer_than_output_rows_exits_2(trained, tmp_path, capsys):

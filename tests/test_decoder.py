@@ -167,7 +167,7 @@ def test_greedy_decode_rejects_a_fact_wider_than_the_copy_head():
     for seed in range(5):
         params = DecoderParams(dims, rng=np.random.default_rng(seed))
         with pytest.raises(ShapeError):
-            decoder.greedy_decode(entity, params, vocab, EncoderConfig(embedding_dim=3),
+            decoder.greedy_decode(entity, params, vocab, EncoderConfig(),
                                   max_facts=5, max_len=20)
 
 
@@ -341,10 +341,8 @@ def routing_fixture():
 
 def test_greedy_decode_hand_routed_street():
     entity, params, vocab = routing_fixture()
-    tokens, trace = decoder.greedy_decode(
-        entity, params, vocab,
-        EncoderConfig(embedding_dim=1, mean_fact="fixed_random"), max_facts=1,
-        max_len=8, return_trace=True)
+    tokens, trace = decoder.greedy_decode(entity, params, vocab, EncoderConfig(), max_facts=1,
+                                          max_len=8, return_trace=True)
     assert tokens == ["street"]
     assert [t for t, _ in trace] == ["street", "<EOS>"]
     assert np.argmax(trace[0][1]) == 0  # fact slot first
@@ -353,10 +351,8 @@ def test_greedy_decode_hand_routed_street():
 
 def test_greedy_decode_copy_only_never_uses_mean_slot():
     entity, params, vocab = routing_fixture()
-    tokens, trace = decoder.greedy_decode(
-        entity, params, vocab,
-        EncoderConfig(embedding_dim=1, mean_fact="fixed_random"), max_facts=1,
-        max_len=6, copy_only=True, return_trace=True)
+    tokens, trace = decoder.greedy_decode(entity, params, vocab, EncoderConfig(), max_facts=1,
+                                          max_len=6, copy_only=True, return_trace=True)
     assert len(tokens) == 6  # no <EOS> path, runs to max_len
     for _, alpha in trace:
         assert alpha[1] == 0.0
@@ -378,7 +374,7 @@ def test_greedy_decode_respects_max_len_and_strips_specials():
         entity = random_entity(rng, vocab)
         for max_len in (1, 3, 7):
             tokens = decoder.greedy_decode(entity, params, vocab,
-                                           EncoderConfig(embedding_dim=3),
+                                           EncoderConfig(),
                                            max_facts=5, max_len=max_len)
             assert len(tokens) <= max_len
             assert "<UNK>" not in tokens
@@ -392,7 +388,7 @@ def test_greedy_decode_reselects_when_fact_has_no_words():
     vocab = corpus.Vocabulary(["<UNK>", "<SOS>", "<EOS>", "road"])
     entity = corpus.Entity("Q", [corpus.Fact.build("kind", "of the")], None)
     tokens, trace = decoder.greedy_decode(entity, params, vocab,
-                                          EncoderConfig(embedding_dim=3),
+                                          EncoderConfig(),
                                           max_facts=2, max_len=4, return_trace=True)
     for _, alpha in trace:
         assert np.argmax(alpha) == 1  # mean slot; the wordless fact is masked
@@ -406,7 +402,7 @@ def test_greedy_trace_rows_cover_exactly_the_entitys_slots():
         params = DecoderParams(dims, rng=np.random.default_rng(40 + seed))
         entity = random_entity(rng, vocab)
         _, trace = decoder.greedy_decode(entity, params, vocab,
-                                         EncoderConfig(embedding_dim=3),
+                                         EncoderConfig(),
                                          max_facts=5, max_len=6, return_trace=True)
         assert trace
         for _, alpha in trace:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from factdesc import corpus, encoder
 from factdesc.encoder import EncoderConfig, positional_weights
 from factdesc.errors import ConfigError
-from factdesc.tensor import Tape, Tensor, backward, mul, sum_all
+from factdesc.tensor import Tape, Tensor, backward, concat, grad_check, mul, sum_all, tanh
 
 
 def test_positional_weights_single_word_column():
@@ -71,10 +71,28 @@ def test_encode_fact_single_word_positional():
     d = 4
     table = Tensor(np.zeros((len(vocab), d)), requires_grad=False)
     table.data[vocab.word_index("street")] = [1.0, 1.0, 1.0, 1.0]
-    cfg = EncoderConfig(embedding_dim=d)
+    cfg = EncoderConfig()
     fact = corpus.Fact(["street"], [], [])  # single-word phrase
     out = _encode_one(fact, table, vocab, cfg)
     assert np.allclose(out, [[0.25, 0.5, 0.75, 1.0]])
+
+
+def test_encode_entity_takes_the_word_tables_width():
+    # d in the closed form is the width of the table the words come from
+    vocab = _vocab(["x", "y", "z", "w"])
+    fact = corpus.Fact.build("x y", "z w z")
+    phrase = fact.phrase()
+    J = len(phrase)
+    rng = np.random.default_rng(4)
+    for d in (1, 3, 5):
+        table = Tensor(rng.normal(size=(len(vocab), d)))
+        expected = [sum(table.data[vocab.word_index(word), k - 1]
+                        * ((1 - j / J) - (k / d) * (1 - 2 * j / J))
+                        for j, word in enumerate(phrase, start=1)) for k in range(1, d + 1)]
+        enc = encoder.encode_entity(corpus.Entity("Q1", [fact], None), table, vocab,
+                                    EncoderConfig())
+        assert enc.embeddings.data.shape == (2, d)
+        assert np.allclose(enc.embeddings.data, [expected, expected], rtol=1e-12, atol=1e-12)
 
 
 def test_encode_fact_mean_pool_of_identical_embeddings():
@@ -83,7 +101,7 @@ def test_encode_fact_mean_pool_of_identical_embeddings():
     table = Tensor(np.zeros((len(vocab), d)))
     table.data[vocab.word_index("blue")] = [1.0, 2.0, 3.0]
     table.data[vocab.word_index("sky")] = [1.0, 2.0, 3.0]
-    cfg = EncoderConfig(embedding_dim=d, encoding="mean_pool")
+    cfg = EncoderConfig(encoding="mean_pool")
     fact = corpus.Fact(["blue"], ["sky"], ["sky"])
     out = _encode_one(fact, table, vocab, cfg)
     assert np.allclose(out, [[1.0, 2.0, 3.0]])
@@ -95,7 +113,7 @@ def test_encode_fact_mean_pool_opposite_embeddings_cancel():
     table = Tensor(np.zeros((len(vocab), d)))
     table.data[vocab.word_index("hot")] = [1.0, -2.0]
     table.data[vocab.word_index("cold")] = [-1.0, 2.0]
-    cfg = EncoderConfig(embedding_dim=d, encoding="mean_pool")
+    cfg = EncoderConfig(encoding="mean_pool")
     fact = corpus.Fact(["hot"], ["cold"], ["cold"])
     out = _encode_one(fact, table, vocab, cfg)
     assert np.allclose(out, [[0.0, 0.0]])
@@ -106,7 +124,7 @@ def test_encode_fact_unknown_words_use_unk_embedding():
     d = 2
     table = Tensor(np.zeros((len(vocab), d)))
     table.data[0] = [5.0, 5.0]  # <UNK>
-    cfg = EncoderConfig(embedding_dim=d, encoding="mean_pool")
+    cfg = EncoderConfig(encoding="mean_pool")
     fact = corpus.Fact(["mystery"], ["word"], ["word"])
     out = _encode_one(fact, table, vocab, cfg)
     assert np.allclose(out, [[5.0, 5.0]])
@@ -130,7 +148,7 @@ def _entity_setup(d=2):
 
 def test_encode_entity_mean_fact_is_elementwise_mean():
     vocab, table = _entity_setup()
-    cfg = EncoderConfig(embedding_dim=2)
+    cfg = EncoderConfig()
     enc = encoder.encode_entity(_two_fact_entity(), table, vocab, cfg, max_facts=4)
     # single-word phrases in positional mode scale by l = [k/d] = [0.5, 1.0]
     f0, f1 = enc.embeddings.data[0], enc.embeddings.data[1]
@@ -140,7 +158,7 @@ def test_encode_entity_mean_fact_is_elementwise_mean():
 
 def test_encode_entity_single_fact_mean_equals_fact():
     vocab, table = _entity_setup()
-    cfg = EncoderConfig(embedding_dim=2)
+    cfg = EncoderConfig()
     entity = corpus.Entity("Q1", [corpus.Fact(["a"], [], [])], None)
     enc = encoder.encode_entity(entity, table, vocab, cfg, max_facts=4)
     assert np.allclose(enc.embeddings.data[1], enc.embeddings.data[0])
@@ -148,7 +166,7 @@ def test_encode_entity_single_fact_mean_equals_fact():
 
 def test_encode_entity_one_slot_per_fact_plus_mean():
     vocab, table = _entity_setup()
-    cfg = EncoderConfig(embedding_dim=2)
+    cfg = EncoderConfig()
     enc = encoder.encode_entity(_two_fact_entity(), table, vocab, cfg, max_facts=5)
     assert enc.embeddings.data.shape == (3, 2)
     assert enc.mask.tolist() == [True, True, True]
@@ -157,12 +175,12 @@ def test_encode_entity_one_slot_per_fact_plus_mean():
     enc = encoder.encode_entity(seven, table, vocab, cfg, max_facts=5)
     assert enc.embeddings.data.shape == (6, 2)
     assert enc.mask.tolist() == [True] * 6
-    assert enc.n_facts == 5 and enc.mean_slot == 5 and len(enc.word_counts) == 5
+    assert enc.n_facts == 5 and enc.mean_slot == 5
 
 
 def test_encode_entity_fixed_mean_is_shared_across_entities():
     vocab, table = _entity_setup()
-    cfg = EncoderConfig(embedding_dim=2, mean_fact="fixed_random")
+    cfg = EncoderConfig()
     rng = np.random.default_rng(0)
     frozen = Tensor(encoder.fixed_mean_vector(rng, 2))
     one = encoder.encode_entity(_two_fact_entity(), table, vocab, cfg, 4, fixed_mean=frozen)
@@ -176,15 +194,14 @@ def test_encode_entity_fixed_mean_is_shared_across_entities():
 def test_encode_entity_rejects_zero_facts():
     vocab, table = _entity_setup()
     with pytest.raises(ConfigError):
-        encoder.encode_entity(corpus.Entity("Q", [], None), table, vocab,
-                              EncoderConfig(embedding_dim=2))
+        encoder.encode_entity(corpus.Entity("Q", [], None), table, vocab, EncoderConfig())
 
 
 def test_encode_entity_rejects_an_empty_phrase():
     vocab, table = _entity_setup()
     entity = corpus.Entity("Q", [corpus.Fact(["a"], [], []), corpus.Fact([], [], [])], None)
     with pytest.raises(ConfigError, match="empty phrase"):
-        encoder.encode_entity(entity, table, vocab, EncoderConfig(embedding_dim=2))
+        encoder.encode_entity(entity, table, vocab, EncoderConfig())
 
 
 def test_encode_entity_permutation_covariant():
@@ -192,7 +209,7 @@ def test_encode_entity_permutation_covariant():
     vocab = _vocab(["a", "b", "c", "d", "e"])
     d = 3
     table = Tensor(rng.normal(size=(len(vocab), d)))
-    cfg = EncoderConfig(embedding_dim=d)
+    cfg = EncoderConfig()
     facts = [corpus.Fact.build(p, v) for p, v in
              [("kind", "a b"), ("place", "c"), ("name", "d e a")]]
     entity = corpus.Entity("Q", facts, None)
@@ -214,49 +231,90 @@ def _oracle(entity, table, vocab, cfg, max_facts, fixed_mean, coeffs):
     """
     facts = entity.facts[:max_facts]
     rows, grad = [], np.zeros_like(table.data)
-    mean_coeff = coeffs[len(facts)] / len(facts) if cfg.mean_fact == "mean" else 0.0
+    mean_coeff = coeffs[len(facts)] / len(facts) if fixed_mean is None else 0.0
     for i, fact in enumerate(facts):
         phrase = fact.phrase()[: cfg.max_phrase_len]
         emb = table.data[vocab.indices(phrase)]
         if cfg.encoding == "positional":
-            weights = positional_weights(len(phrase), cfg.embedding_dim).T
+            weights = positional_weights(len(phrase), table.data.shape[1]).T
         else:
             weights = np.full(emb.shape, 1.0 / len(phrase))
         rows.append((emb * weights).sum(axis=0))
         np.add.at(grad, vocab.indices(phrase), (coeffs[i] + mean_coeff) * weights)
-    mean = np.mean(rows, axis=0) if cfg.mean_fact == "mean" else fixed_mean[0]
+    mean = np.mean(rows, axis=0) if fixed_mean is None else fixed_mean[0]
     return np.array(rows + [mean]), grad
 
 
 _WORD = st.sampled_from(["a", "b", "c", "d", "e", "f", "g", "h", "zz", "qq"])
 
 
+_PHRASES = st.lists(st.tuples(st.lists(_WORD, min_size=1, max_size=5),
+                              st.lists(_WORD, max_size=5)), min_size=1, max_size=7)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**16), n_known=st.integers(0, 8),
-       phrases=st.lists(st.tuples(st.lists(_WORD, min_size=1, max_size=5),
-                                  st.lists(_WORD, max_size=5)), min_size=1, max_size=7),
+       batch=st.lists(_PHRASES, min_size=1, max_size=5),
        dim=st.integers(1, 6), encoding=st.sampled_from(encoder.ENCODING_MODES),
        mean_fact=st.sampled_from(encoder.MEAN_FACT_MODES),
        max_facts=st.integers(1, 7), max_phrase_len=st.integers(1, 10))
-def test_encode_entity_equals_per_fact_oracle(seed, n_known, phrases, dim, encoding, mean_fact,
+def test_encode_entity_equals_per_fact_oracle(seed, n_known, batch, dim, encoding, mean_fact,
                                               max_facts, max_phrase_len):
+    # encode_entities on 1-5 entities against the oracle, entity by entity;
+    # each entity's rows against its batch of one (encode_entity)
     rng = np.random.default_rng(seed)
     vocab = _vocab(["a", "b", "c", "d", "e", "f", "g", "h"][:n_known])
     table = Tensor(rng.normal(size=(len(vocab), dim)), requires_grad=True)
-    cfg = EncoderConfig(embedding_dim=dim, encoding=encoding, mean_fact=mean_fact,
-                        max_phrase_len=max_phrase_len)
-    entity = corpus.Entity("Q", [corpus.Fact(p, v, []) for p, v in phrases], None)
-    frozen = Tensor(encoder.fixed_mean_vector(rng, dim))
-    n = min(len(phrases), max_facts)
-    coeffs = rng.normal(size=(n + 1, dim))
+    cfg = EncoderConfig(encoding=encoding, max_phrase_len=max_phrase_len)
+    entities = [corpus.Entity(f"Q{i}", [corpus.Fact(p, v, []) for p, v in phrases], None)
+                for i, phrases in enumerate(batch)]
+    frozen = Tensor(encoder.fixed_mean_vector(rng, dim)) if mean_fact == "fixed_random" else None
+    n = np.array([min(len(phrases), max_facts) for phrases in batch])
+    coeffs = rng.normal(size=(n.sum() + len(n), dim))
     with Tape() as tape:
-        enc = encoder.encode_entity(entity, table, vocab, cfg, max_facts, fixed_mean=frozen)
-        loss = sum_all(mul(enc.embeddings, Tensor(coeffs)))
+        fact_rows, mean_rows = encoder.encode_entities(entities, table, vocab, cfg, max_facts,
+                                                       frozen)
+        loss = sum_all(mul(concat([fact_rows, mean_rows]), Tensor(coeffs)))
     backward(loss, tape)
-    rows, grad = _oracle(entity, table, vocab, cfg, max_facts, frozen.data, coeffs)
-    assert enc.embeddings.data.shape == rows.shape
-    assert np.abs(enc.embeddings.data - rows).max() <= 1e-12 * np.abs(rows).max()
-    assert (np.abs(table.grad - grad) / np.maximum(1.0, np.abs(grad))).max() <= 1e-10
+    assert fact_rows.data.shape == (n.sum(), dim) and mean_rows.data.shape == (len(n), dim)
+    expected_grad = np.zeros_like(table.data)
+    by_phrase = {}
+    for b, (entity, start) in enumerate(zip(entities, np.cumsum(n) - n)):
+        own = slice(start, start + n[b])
+        rows, grad = _oracle(entity, table, vocab, cfg, max_facts,
+                             None if frozen is None else frozen.data,
+                             np.vstack([coeffs[own], coeffs[n.sum() + b]]))
+        expected_grad += grad
+        got = np.vstack([fact_rows.data[own], mean_rows.data[b]])
+        assert np.abs(got - rows).max() <= 1e-12 * np.abs(rows).max()
+        alone = encoder.encode_entity(entity, table, vocab, cfg, max_facts, frozen)
+        assert np.array_equal(fact_rows.data[own], alone.embeddings.data[:-1])
+        scale = np.abs(alone.embeddings.data[:-1]).max()
+        assert np.abs(mean_rows.data[b] - alone.embeddings.data[-1]).max() <= 1e-15 * scale
+        for fact, row in zip(entity.facts, fact_rows.data[own]):
+            same = by_phrase.setdefault(tuple(fact.phrase()[:max_phrase_len]), row)
+            assert np.array_equal(row, same)
+    assert (np.abs(table.grad - expected_grad) / np.maximum(1.0, np.abs(expected_grad))).max() \
+        <= 1e-10
+
+
+@pytest.mark.parametrize("mean_fact", encoder.MEAN_FACT_MODES)
+def test_encode_entities_gradient_matches_finite_differences(mean_fact):
+    rng = np.random.default_rng(17)
+    vocab = _vocab(["a", "b", "c", "d"])
+    table = Tensor(rng.normal(size=(len(vocab), 3)), requires_grad=True)
+    frozen = Tensor(encoder.fixed_mean_vector(rng, 3)) if mean_fact == "fixed_random" else None
+    facts = [corpus.Fact.build(p, v) for p, v in
+             [("a", "b c"), ("d", "a"), ("b b", "zz d"), ("c", "c a b"), ("qq", "a")]]
+    entities = [corpus.Entity("Q1", facts[:3], None), corpus.Entity("Q2", facts[3:4], None),
+                corpus.Entity("Q3", facts[3:], None)]  # 3, 1 and 2 facts
+    coeffs = Tensor(rng.normal(size=(6 + 3, 3)))
+
+    def f(params):
+        rows = encoder.encode_entities(entities, params[0], vocab, EncoderConfig(), 5, frozen)
+        return sum_all(mul(tanh(concat(rows)), coeffs))
+
+    assert grad_check(f, [table]) < 1e-6
 
 
 def test_identical_phrases_give_bit_equal_rows():
@@ -273,7 +331,7 @@ def test_identical_phrases_give_bit_equal_rows():
     for dim in (7, 64, 100):
         table = Tensor(rng.normal(size=(len(vocab), dim)))
         for encoding in encoder.ENCODING_MODES:
-            cfg = EncoderConfig(embedding_dim=dim, encoding=encoding)
+            cfg = EncoderConfig(encoding=encoding)
             rows = encoder.encode_entity(entity, table, vocab, cfg, max_facts=20).embeddings.data
             for fact in (long, mid, short):
                 same = [i for i, f in enumerate(facts) if f is fact]

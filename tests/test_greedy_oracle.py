@@ -28,6 +28,7 @@ from factdesc.decoder import (
     slot_embedding,
     vocab_logits,
 )
+from factdesc.encoder import encode_entity
 from factdesc.tensor import Tensor, embedding_rows, getitem
 
 WORDLESS = corpus.Fact.build("kind", "of the")  # every value word is a stopword
@@ -37,7 +38,8 @@ def replay(entity, params, vocab, config, max_len, tokens, trace):
     """Check one decode step by step against the layer functions, each
     called on a batch of one entity and one step."""
     dims = params.dims
-    enc = params.encode(entity, vocab, config.encoder_config(), config.max_facts)
+    enc = encode_entity(entity, params.word_emb, vocab, config.encoder_config(),
+                        config.max_facts, params.fixed_mean())
     keys = attention_keys(enc.embeddings, params)
     mask = enc.mask[None].copy()  # (1, S)
     if config.copy_only:
@@ -50,7 +52,7 @@ def replay(entity, params, vocab, config, max_len, tokens, trace):
         alpha = fact_attention(keys, mask, h, params)
         # wordless facts that won an earlier attempt of this step are masked
         while (top := int(np.argmax(alpha.data[0]))) != slot:
-            assert top != enc.mean_slot and enc.word_counts[top] == 0
+            assert top != enc.mean_slot and not entity.facts[top].factual_words
             mask[0, top] = False
             alpha = fact_attention(keys, mask, h, params)
         assert np.abs(alpha.data[0] - row).max() <= 1e-12
@@ -64,8 +66,9 @@ def replay(entity, params, vocab, config, max_len, tokens, trace):
             w_prev = embedding_rows(params.word_emb, [[word]])
             v_prev = Tensor(np.zeros((1, 1, dims.copy_width)))
         else:
-            pos = int(np.argmax(copy_logits(f_t, h_t, [enc.word_counts[slot]], params).data))
-            assert token == entity.facts[slot].factual_words[pos]
+            words = entity.facts[slot].factual_words
+            pos = int(np.argmax(copy_logits(f_t, h_t, [len(words)], params).data))
+            assert token == words[pos]
             onehot = np.zeros((1, 1, dims.copy_width))
             onehot[0, 0, pos] = 1.0
             w_prev, v_prev = Tensor(np.zeros((1, 1, dims.embed_dim))), Tensor(onehot)
@@ -73,7 +76,7 @@ def replay(entity, params, vocab, config, max_len, tokens, trace):
         # decoding stopped early: attending masks every slot left, one by one
         while mask.any():
             top = int(np.argmax(fact_attention(keys, mask, h, params).data[0]))
-            assert top != enc.mean_slot and enc.word_counts[top] == 0
+            assert top != enc.mean_slot and not entity.facts[top].factual_words
             mask[0, top] = False
     assert tokens == [t for t, _ in trace if t not in (EOS, UNK)]
 

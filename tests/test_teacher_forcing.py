@@ -27,6 +27,7 @@ from factdesc.decoder import (
     slot_embedding,
     vocab_logits,
 )
+from factdesc.encoder import encode_entity
 from factdesc.tensor import (Tape, Tensor, add, affine, backward, concat, embedding_rows, mul,
                              nll, reshape, tanh)
 
@@ -47,7 +48,8 @@ def _gru_step(x, h, p):
 
 def per_token_loss(entity, aligned, params, vocab, config):
     dims = params.dims
-    enc = params.encode(entity, vocab, config.encoder_config(), config.max_facts)
+    enc = encode_entity(entity, params.word_emb, vocab, config.encoder_config(),
+                        config.max_facts, params.fixed_mean())
     keys = attention_keys(enc.embeddings, params)
     mask = enc.mask[None].copy()  # (1, S)
     if config.copy_only:
@@ -66,7 +68,7 @@ def per_token_loss(entity, aligned, params, vocab, config):
         f_t = slot_embedding(enc.embeddings, [gold])
         h = _gru_step(concat([f_t, w_prev, v_prev], axis=1), h, params)
         if copied:
-            dist = copy_logits(f_t, h, [enc.word_counts[gold]], params)
+            dist = copy_logits(f_t, h, [len(entity.facts[gold].factual_words)], params)
             terms.append(nll(dist, [token.copy_pos]))
             onehot = np.zeros((1, dims.copy_width))
             onehot[0, token.copy_pos] = 1.0
