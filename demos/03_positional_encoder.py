@@ -36,7 +36,7 @@ entity = corpus.Entity("Q19345316", [
 
 for mode in ("positional", "mean_pool"):
     cfg = EncoderConfig(encoding=mode)
-    enc = encode_entity(entity, table, vocab, cfg, max_facts=4)
+    enc = encode_entity(entity, table, vocab, cfg)
     print(f"\n{mode} encoding (rows: fact 0, fact 1, mean fact):")
     print(enc.embeddings.data)
 

@@ -22,7 +22,6 @@ from .corpus import (
     STOPWORDS,
     Vocabulary,
     build_vocabulary,
-    load_dataset,
     load_entities,
     tokenize,
 )

@@ -76,6 +76,10 @@ def _load_config(path):
     return TrainConfig.from_file(path) if path else TrainConfig()
 
 
+def _load_entities(path, config):
+    return corpus.load_entities(path, config.max_facts, config.max_factual_words)
+
+
 def _read_text_rows(path):
     rows = {}
     with open(path, encoding="utf-8") as handle:
@@ -98,11 +102,8 @@ def _read_text_rows(path):
 def _cmd_train(args):
     config = _load_config(args.config)
     print(f"seed: {config.seed}")
-    train_entities = corpus.load_entities(args.train, config.max_facts,
-                                          config.max_factual_words)
-    dev_entities = corpus.load_entities(args.dev, config.max_facts,
-                                        config.max_factual_words)
-    checkpoint = training.train(train_entities, dev_entities, config)
+    checkpoint = training.train(_load_entities(args.train, config),
+                                _load_entities(args.dev, config), config)
     training.save_checkpoint(checkpoint, args.out)
     score = checkpoint.meta.get("dev_bleu4")
     print(f"saved {args.out} (best epoch {checkpoint.meta['epoch']}"
@@ -112,8 +113,7 @@ def _cmd_train(args):
 
 def _cmd_generate(args):
     checkpoint = training.load_checkpoint(args.checkpoint)
-    entities = corpus.load_entities(args.input, checkpoint.config.max_facts,
-                                    checkpoint.config.max_factual_words)
+    entities = _load_entities(args.input, checkpoint.config)
     with open(args.out, "w", encoding="utf-8") as handle:
         for entity in entities:
             tokens = training.generate_description(checkpoint, entity,
@@ -136,8 +136,7 @@ def _cmd_evaluate(args):
 
 def _cmd_align(args):
     config = _load_config(args.config)
-    entities = corpus.load_entities(args.data, config.max_facts,
-                                    config.max_factual_words)
+    entities = _load_entities(args.data, config)
     described = [e for e in entities if e.description_tokens is not None]
     if not described:
         raise DataError(f"{args.data}: no described entities to align")
@@ -155,14 +154,12 @@ def _cmd_align(args):
 def emit_attention(checkpoint, entity):
     """Rows of (emitted token, attention over the entity's slots)."""
     _, trace = training.generate_description(checkpoint, entity, return_trace=True)
-    facts = entity.facts[: checkpoint.config.max_facts]
-    return [fact.label() for fact in facts] + ["MEAN"], trace
+    return [fact.label() for fact in entity.facts] + ["MEAN"], trace
 
 
 def _cmd_attention(args):
     checkpoint = training.load_checkpoint(args.checkpoint)
-    entities = corpus.load_entities(args.data, checkpoint.config.max_facts,
-                                    checkpoint.config.max_factual_words)
+    entities = _load_entities(args.data, checkpoint.config)
     matches = [e for e in entities if e.id == args.id]
     if not matches:
         raise DataError(f"{args.data}: no entity with id {args.id}")

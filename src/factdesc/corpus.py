@@ -7,9 +7,10 @@ Datasets arrive as UTF-8 JSONL, one entity per line::
                {"property": "location", "value": "Elsloo"}],
      "description": "street in Elsloo"}
 
-``description`` is optional for inference-only inputs.  Facts beyond
+``id``, ``property`` and ``value`` are strings or numbers; ``description``
+is an optional string, absent in inference-only inputs.  Facts beyond
 ``max_facts`` and factual words beyond ``max_factual_words`` are dropped
-in file order.
+in file order, here only: the model reads every fact an entity holds.
 """
 
 from __future__ import annotations
@@ -155,27 +156,36 @@ def build_vocabulary(train_entities, size=1000, source="descriptions"):
     return Vocabulary([UNK, SOS, EOS] + [w for w, _ in ranked[:size]])
 
 
+def _text(value, field, entity_id=None):
+    """A JSON string or number as text; ``null``, booleans, arrays and objects raise."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        where = "" if entity_id is None else f"entity {entity_id}: "
+        raise DataError(f"{where}{field} must be a string or a number, got {json.dumps(value)}")
+    return str(value)
+
+
 def parse_record(record, max_facts=DEFAULT_MAX_FACTS,
                  max_factual_words=DEFAULT_MAX_FACTUAL_WORDS):
     """Turn one decoded JSONL record into an ``Entity`` (or None to skip)."""
     if not isinstance(record, dict) or "id" not in record or "facts" not in record:
         raise DataError("record must be an object with 'id' and 'facts'")
+    entity_id = _text(record["id"], "id")
     if not isinstance(description := record.get("description"), (str, type(None))):
-        raise DataError(f"entity {record['id']}: description must be a string")
+        raise DataError(f"entity {entity_id}: description must be a string")
     facts = []
     for raw in record["facts"]:
-        fact = Fact.build(str(raw["property"]), str(raw["value"]), max_factual_words)
+        prop = _text(raw["property"], "property", entity_id)
+        fact = Fact.build(prop, _text(raw["value"], "value", entity_id), max_factual_words)
         if not fact.property_tokens:
-            log.warning("entity %s: dropping fact with empty property %r",
-                        record["id"], raw["property"])
+            log.warning("entity %s: dropping fact with empty property %r", entity_id, prop)
             continue
         facts.append(fact)
     facts = facts[:max_facts]
     if not facts:
-        log.warning("skipping entity %s: no usable facts", record["id"])
+        log.warning("skipping entity %s: no usable facts", entity_id)
         return None
     tokens = tokenize(description) if description is not None else None
-    return Entity(str(record["id"]), facts, tokens)
+    return Entity(entity_id, facts, tokens)
 
 
 def load_entities(path, max_facts=DEFAULT_MAX_FACTS,
@@ -205,14 +215,3 @@ def utf8_lines(handle, path):
         yield from handle
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-
-
-def load_dataset(train_path, dev_path, test_path, max_facts=DEFAULT_MAX_FACTS,
-                 max_factual_words=DEFAULT_MAX_FACTUAL_WORDS):
-    """Load the three splits and report per-split entity counts."""
-    splits = []
-    for name, path in (("train", train_path), ("dev", dev_path), ("test", test_path)):
-        entities = load_entities(path, max_facts, max_factual_words)
-        log.info("%s: %d entities from %s", name, len(entities), path)
-        splits.append(entities)
-    return tuple(splits)

@@ -216,12 +216,13 @@ def copy_logits(f, h, n_words, params):
     return masked_softmax(scores, np.arange(width) < counts[:, None])
 
 
-def greedy_decode(entity, params, vocab, enc_cfg, max_facts, max_len,
-                  copy_only=False, return_trace=False):
+def greedy_decode(entity, params, vocab, enc_cfg, max_len, copy_only=False,
+                  return_trace=False):
     """Greedy generation for one entity, stepped on plain arrays.
 
-    Each step takes the argmax slot; a fact with no factual words that wins
-    is masked out for the rest of the decode and the step attends again.
+    Each step takes the argmax slot: one of the entity's facts, or the mean
+    fact at slot ``len(entity.facts)``.  A fact with no factual words that
+    wins is masked out for the rest of the decode and the step attends again.
     Stops at ``<EOS>`` or ``max_len``; ``<UNK>`` emissions are stripped from
     the returned tokens (the trace keeps every step, with one attention
     weight per slot).  The vocabulary head picks among the ``len(vocab)``
@@ -229,12 +230,12 @@ def greedy_decode(entity, params, vocab, enc_cfg, max_facts, max_len,
     The layers above, regrouped: each slot passes through the GRU's fact
     columns once, and a copy feeds back its position's column, not a one-hot.
     """
-    enc = encode_entity(entity, params.word_emb, vocab, enc_cfg, max_facts, params.fixed_mean())
+    enc = encode_entity(entity, params.word_emb, vocab, enc_cfg, fixed_mean=params.fixed_mean())
     slots = enc.embeddings.data
     keys = attention_keys(enc.embeddings, params).data
-    mask = enc.mask.copy()
+    mask, mean_slot = enc.mask.copy(), len(entity.facts)
     if copy_only:
-        mask[enc.mean_slot] = False
+        mask[mean_slot] = False
     d, n_vocab = params.dims.embed_dim, len(vocab)
     p = {name: t.data for name, t in params.named_tensors()}
     query_w = p["attn_hidden_w"][:, d:]
@@ -254,14 +255,14 @@ def greedy_decode(entity, params, vocab, enc_cfg, max_facts, max_len,
                 alpha = np.exp(masked - masked.max())
                 alpha /= alpha.sum()
                 slot = int(alpha.argmax())  # ties toward the lowest slot
-                if slot == enc.mean_slot or entity.facts[slot].factual_words:
+                if slot == mean_slot or entity.facts[slot].factual_words:
                     break
                 mask[slot] = False
             else:
                 break
             h = gru_step(*(s[slot] + f for s, f in zip(slot_in, feedback)), h,
                          p["gru_update_h"], p["gru_reset_h"], p["gru_cand_h"])[3]
-            if slot == enc.mean_slot:
+            if slot == mean_slot:
                 mixed = np.concatenate([alpha @ slots, h])
                 head = np.maximum(p["vocab_hidden_w"] @ mixed + p["vocab_hidden_b"], 0.0)
                 word = int((p["vocab_out_w"][:n_vocab] @ head + p["vocab_out_b"][:n_vocab])

@@ -8,10 +8,11 @@ elementwise by the column l_j with
 
 so early and late phrase positions project into different embedding
 subspaces; ``mean_pool`` mode replaces this with a plain average (every
-weight 1/J).  The mean of all fact embeddings is appended as one extra
-slot (the phantom fact that generates vocabulary words), so an entity
-with N facts exposes exactly N + 1 slots; a frozen vector, when given,
-stands in for that mean.  d is the width of the word table.
+weight 1/J).  Every fact of an entity is encoded (facts are cut when
+entities are read), and the mean of all fact embeddings is appended as
+one extra slot (the phantom fact that generates vocabulary words), so an
+entity with N facts exposes exactly N + 1 slots; a frozen vector, when
+given, stands in for that mean.  d is the width of the word table.
 
 A minibatch of B entities is encoded in one pass in either mode
 (:func:`encode_entities`): one gather of all their phrase words, one
@@ -30,7 +31,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .corpus import DEFAULT_MAX_FACTS
 from .errors import ConfigError
 from .tensor import Tensor, concat, embedding_rows, matmul, mul, segment_sum
 
@@ -52,18 +52,13 @@ class EncoderConfig:
 class EncodedEntity:
     """Slot matrix one entity exposes to greedy decoding.
 
-    ``embeddings`` has N + 1 rows: the N fact embeddings, then the mean
-    fact, as :func:`encode_entities` returns them for a batch of one.
-    ``mask`` starts all true; decoders copy it to switch slots off.
+    ``embeddings`` has a row per fact, then the mean fact's row, as
+    :func:`encode_entities` returns them for a batch of one.  ``mask``
+    starts all true; decoders copy it to switch slots off.
     """
 
     embeddings: Tensor
     mask: np.ndarray
-    n_facts: int
-
-    @property
-    def mean_slot(self):
-        return self.n_facts
 
 
 def positional_weights(phrase_len, dim):
@@ -91,17 +86,16 @@ def fixed_mean_vector(rng, dim):
     return rng.uniform(-bound, bound, size=(1, dim))
 
 
-def encode_entities(entities, word_embeddings, vocab, cfg, max_facts=DEFAULT_MAX_FACTS,
-                    fixed_mean=None):
+def encode_entities(entities, word_embeddings, vocab, cfg, *, fixed_mean=None):
     """Fact rows (ΣN, d) of B entities, entity by entity, then their mean rows (B, d).
 
-    Each entity contributes its first ``max_facts`` facts; phrases are cut
-    to ``cfg.max_phrase_len`` words, and unknown words read ``<UNK>``.  The
+    Each entity contributes all its facts; phrases are cut to
+    ``cfg.max_phrase_len`` words, and unknown words read ``<UNK>``.  The
     mean rows are the (1, d) ``fixed_mean`` repeated when it is given.
     """
     phrases, spans = [], []  # spans: (first fact row, fact count) per entity
     for entity in entities:
-        cut = [f.phrase()[: cfg.max_phrase_len] for f in entity.facts[:max_facts]]
+        cut = [f.phrase()[: cfg.max_phrase_len] for f in entity.facts]
         if not cut or not all(cut):
             what = "a fact with an empty phrase" if cut else "an entity without facts"
             raise ConfigError(f"entity {entity.id}: cannot encode {what}")
@@ -120,10 +114,8 @@ def encode_entities(entities, word_embeddings, vocab, cfg, max_facts=DEFAULT_MAX
     return rows, matmul(Tensor(block), rows)
 
 
-def encode_entity(entity, word_embeddings, vocab, cfg, max_facts=DEFAULT_MAX_FACTS,
-                  fixed_mean=None):
-    """The first ``max_facts`` fact embeddings plus the mean-fact slot:
-    :func:`encode_entities` of a batch of one."""
-    n = min(len(entity.facts), max_facts)
-    slots = concat(encode_entities([entity], word_embeddings, vocab, cfg, max_facts, fixed_mean))
-    return EncodedEntity(slots, np.ones(n + 1, dtype=bool), n)
+def encode_entity(entity, word_embeddings, vocab, cfg, *, fixed_mean=None):
+    """The fact embeddings plus the mean-fact slot: :func:`encode_entities`
+    of a batch of one."""
+    slots = concat(encode_entities([entity], word_embeddings, vocab, cfg, fixed_mean=fixed_mean))
+    return EncodedEntity(slots, np.ones(len(entity.facts) + 1, dtype=bool))

@@ -28,7 +28,7 @@ from math import prod
 import numpy as np
 
 from .alignment import Source, align_description
-from .corpus import Vocabulary, build_vocabulary
+from .corpus import EOS, SOS, UNK, Vocabulary, build_vocabulary
 from .decoder import (
     DecoderParams,
     ModelDims,
@@ -65,7 +65,7 @@ class TrainConfig:
     learning_rate: float = 0.001
     batch_size: int = 32
     seed: int = 42
-    max_facts: int = 60
+    max_facts: int = 60  # applied when entities are read (corpus.load_entities)
     max_factual_words: int = 60
     vocab_size: int = 1000
     embed_dim: int = 100
@@ -148,15 +148,16 @@ def batch_loss(entities, aligned, params, vocab, config, parts=False):
     ``parts`` is set.  In ``copy_only`` mode the mean-fact slot is
     masked out of attention and tokens aligned to it contribute no loss
     (the restricted model cannot emit them), though the recurrence
-    still advances on their gold feedback.  Every GRU input is known
-    from the gold tokens, so each layer runs once per minibatch, with the
-    slots padded to the most any entity has and the steps to the longest.
+    still advances on their gold feedback.  An entity's slots are its
+    facts, then its mean fact at slot ``len(entity.facts)``.  Every GRU input
+    is known from the gold tokens, so each layer runs once per minibatch,
+    with the slots padded to the most any entity has and the steps to the longest.
     """
     dims = params.dims
-    n_facts = np.array([min(len(entity.facts), config.max_facts) for entity in entities])
+    n_facts = np.array([len(entity.facts) for entity in entities])
     fact_rows, mean_rows = encode_entities(entities, params.word_emb, vocab,
-                                           config.encoder_config(), config.max_facts,
-                                           params.fixed_mean())
+                                           config.encoder_config(),
+                                           fixed_mean=params.fixed_mean())
     batch, steps, slots = len(entities), max(len(a.tokens) for a in aligned), n_facts.max() + 1
     # the mean-fact slot n is live unless copy_only; padding slots never are
     mask = np.arange(slots) < n_facts[:, None] + (not config.copy_only)
@@ -242,8 +243,7 @@ def _dev_bleu4(entities, params, vocab, config):
         if not entity.description_tokens:
             continue
         candidate = greedy_decode(entity, params, vocab, config.encoder_config(),
-                                  config.max_facts, config.max_decode_len,
-                                  copy_only=config.copy_only)
+                                  config.max_decode_len, copy_only=config.copy_only)
         pairs.append(EvalPair(candidate, entity.description_tokens))
     if not pairs:
         return None
@@ -325,8 +325,7 @@ def train(train_entities, dev_entities, config):
 def generate_description(checkpoint, entity, max_len=None, return_trace=False):
     """Greedy decoding with everything taken from the checkpoint."""
     config = checkpoint.config
-    return greedy_decode(entity, checkpoint.params, checkpoint.vocab,
-                         config.encoder_config(), config.max_facts,
+    return greedy_decode(entity, checkpoint.params, checkpoint.vocab, config.encoder_config(),
                          max_len if max_len is not None else config.max_decode_len,
                          copy_only=config.copy_only, return_trace=return_trace)
 
@@ -379,10 +378,11 @@ def load_checkpoint(path):
     """Read an FKS1 file back into a :class:`Checkpoint`.
 
     Rejects bad magic, version mismatches, malformed manifests, a
-    vocabulary longer than the output rows, tensor names the config does
-    not declare or that repeat, dtypes other than ``f32``, tensors that
-    run past or short of the payload or are not finite, and shapes that
-    disagree.
+    vocabulary longer than the output rows, that repeats a word or does not
+    start with the specials, tensor names the config does not declare or
+    that repeat, dtypes other than ``f32``, payloads that are not back to
+    back, run past or short of the payload or are not finite, and shapes
+    that disagree.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
@@ -406,12 +406,11 @@ def load_checkpoint(path):
     if missing:
         raise CheckpointError(f"{path}: manifest lacks {', '.join(missing)}")
     config = TrainConfig.from_dict(manifest["config"])
-    words = manifest["vocab"]
-    if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
-        raise CheckpointError(f"{path}: vocabulary is not a list of words")
-    if len(words) > config.dims().vocab_size:
-        raise CheckpointError(f"{path}: {len(words)} vocabulary words for "
-                              f"{config.dims().vocab_size} output rows")
+    words, rows = manifest["vocab"], config.dims().vocab_size
+    if (not isinstance(words, list) or not all(isinstance(w, str) for w in words)
+            or words[:3] != [UNK, SOS, EOS] or len(set(words)) != len(words) or len(words) > rows):
+        raise CheckpointError(f"{path}: vocabulary is not a list of at most {rows} distinct "
+                              f"words that starts {UNK}, {SOS}, {EOS}")
     payload = raw[8 + manifest_len:]
     known = {name for name, _, _ in param_shapes(config.dims(), config.mean_fact)}
     arrays = {}
@@ -429,6 +428,9 @@ def load_checkpoint(path):
             if not 0 <= offset <= len(payload) - n_bytes:
                 raise CheckpointError(f"{path}: tensor {name!r} at byte {offset} runs "
                                       f"past the {len(payload)}-byte payload")
+            if offset != declared:
+                raise CheckpointError(f"{path}: tensor {name!r} at byte {offset}, not at byte "
+                                      f"{declared} where the tensors before it end")
             chunk = payload[offset:offset + n_bytes]
             arrays[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape).astype(np.float64)
             if not np.isfinite(arrays[name]).all():

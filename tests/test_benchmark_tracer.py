@@ -13,21 +13,28 @@ from pathlib import Path
 
 import numpy as np
 
+import pytest
+
 from factdesc import corpus, toycorpus, training
 from factdesc.decoder import DecoderParams
+from factdesc.encoder import MEAN_FACT_MODES
 from factdesc.tensor import Tape
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_tracer_wraps_and_restores_every_name(monkeypatch):
+@pytest.mark.parametrize("mean_fact", MEAN_FACT_MODES)
+def test_tracer_wraps_and_restores_every_name(monkeypatch, mean_fact):
+    # the tracer reads a fifth positional argument of encode_entity as a
+    # fact limit, so the frozen mean vector must travel by keyword
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     spans = importlib.import_module("spans")
     config = training.TrainConfig(max_facts=4, max_factual_words=4, vocab_size=20,
-                                  embed_dim=3, hidden_dim=3, attn_dim=3, head_dim=3)
+                                  embed_dim=3, hidden_dim=3, attn_dim=3, head_dim=3,
+                                  mean_fact=mean_fact)
     entity = corpus.parse_record(toycorpus.generate_corpus(1, seed=3)[0], 4, 4)
     vocab = corpus.build_vocabulary([entity], config.vocab_size)
-    params = DecoderParams(config.dims(), rng=np.random.default_rng(0))
+    params = DecoderParams(config.dims(), mean_fact, rng=np.random.default_rng(0))
     tracer = spans.Tracer()
     try:
         tracer.install()

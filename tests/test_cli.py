@@ -278,6 +278,35 @@ def test_generate_malformed_tensor_entry_exits_2(trained, tmp_path, capsys, case
                           "dtype": "f64"}[case] in err
 
 
+def test_generate_overlapping_tensor_payloads_exit_2(trained, tmp_path, capsys):
+    # both tensors are (H,) biases, so the payload length still adds up
+    def overlap(manifest):
+        entries = {e["name"]: e for e in manifest["tensors"]}
+        entries["gru_update_b"]["offset"] = entries["attn_hidden_b"]["offset"]
+        return manifest
+
+    bad = tmp_path / "bad.fks"
+    _rewrite_manifest(trained[3], bad, overlap)
+    code, err = _generate_exit(bad, tmp_path, capsys)
+    assert code == 2 and "'gru_update_b'" in err
+
+
+@pytest.mark.parametrize("case", ["specials", "repeated"])
+def test_generate_malformed_vocabulary_exits_2(trained, tmp_path, capsys, case):
+    def edit(manifest):
+        words = manifest["vocab"]
+        if case == "specials":
+            words[0], words[2] = words[2], words[0]  # <EOS> where <UNK> belongs
+        else:
+            words[3] = words[4]
+        return manifest
+
+    bad = tmp_path / "bad.fks"
+    _rewrite_manifest(trained[3], bad, edit)
+    code, err = _generate_exit(bad, tmp_path, capsys)
+    assert code == 2 and "vocabulary" in err
+
+
 def test_generate_vocabulary_longer_than_output_rows_exits_2(trained, tmp_path, capsys):
     def grow_vocab(manifest):
         rows = manifest["config"]["vocab_size"] + 3

@@ -92,13 +92,28 @@ def test_load_entities_skips_zero_fact_entity(tmp_path):
     assert [e.id for e in entities] == ["Q19345316"]
 
 
-def test_load_dataset_returns_three_splits(tmp_path):
-    for name in ("train", "dev", "test"):
-        _write_jsonl(tmp_path / f"{name}.jsonl", [FIG_RECORD])
-    train, dev, test = corpus.load_dataset(
-        tmp_path / "train.jsonl", tmp_path / "dev.jsonl", tmp_path / "test.jsonl"
-    )
-    assert len(train) == len(dev) == len(test) == 1
+def test_load_entities_reads_numbers_as_text(tmp_path):
+    path = tmp_path / "train.jsonl"
+    _write_jsonl(path, [{"id": 7, "facts": [{"property": 1999, "value": 2.5}]}])
+    (entity,) = corpus.load_entities(path)
+    assert entity.id == "7"
+    assert entity.facts[0].label() == "1999: 2.5"
+
+
+@pytest.mark.parametrize("field", ["id", "property", "value"])
+@pytest.mark.parametrize("value", [None, True, ["a", "b"], {"a": "b"}],
+                         ids=["null", "boolean", "array", "object"])
+def test_load_entities_rejects_non_scalar_text_fields(tmp_path, field, value):
+    record = json.loads(json.dumps(FIG_RECORD))
+    if field == "id":
+        record["id"] = value
+    else:
+        record["facts"][1][field] = value
+    path = tmp_path / "train.jsonl"
+    _write_jsonl(path, [FIG_RECORD, record])
+    with pytest.raises(ParseError, match=f"{field} must be a string or a number") as exc:
+        corpus.load_entities(path)
+    assert exc.value.line_no == 2 and str(exc.value).startswith(f"{path}:2: ")
 
 
 def _entity_with_description(tokens):

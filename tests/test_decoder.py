@@ -149,7 +149,7 @@ def test_greedy_identical_facts_tie_and_copy_from_the_lower_slot():
         first, second = sorted(rng.choice(len(facts) + 1, 2, replace=False))
         facts.insert(second, facts[first])
         _, trace = decoder.greedy_decode(corpus.Entity("Q", facts, None), params, vocab,
-                                         EncoderConfig(), max_facts=20, max_len=6,
+                                         EncoderConfig(), max_len=6,
                                          copy_only=case % 2 == 1, return_trace=True)
         for token, alpha in trace:
             assert alpha[first] == alpha[second], (case, first, second)
@@ -167,8 +167,7 @@ def test_greedy_decode_rejects_a_fact_wider_than_the_copy_head():
     for seed in range(5):
         params = DecoderParams(dims, rng=np.random.default_rng(seed))
         with pytest.raises(ShapeError):
-            decoder.greedy_decode(entity, params, vocab, EncoderConfig(),
-                                  max_facts=5, max_len=20)
+            decoder.greedy_decode(entity, params, vocab, EncoderConfig(), max_len=20)
 
 
 def test_positive_rescaling_keeps_argmax():
@@ -341,7 +340,7 @@ def routing_fixture():
 
 def test_greedy_decode_hand_routed_street():
     entity, params, vocab = routing_fixture()
-    tokens, trace = decoder.greedy_decode(entity, params, vocab, EncoderConfig(), max_facts=1,
+    tokens, trace = decoder.greedy_decode(entity, params, vocab, EncoderConfig(),
                                           max_len=8, return_trace=True)
     assert tokens == ["street"]
     assert [t for t, _ in trace] == ["street", "<EOS>"]
@@ -351,7 +350,7 @@ def test_greedy_decode_hand_routed_street():
 
 def test_greedy_decode_copy_only_never_uses_mean_slot():
     entity, params, vocab = routing_fixture()
-    tokens, trace = decoder.greedy_decode(entity, params, vocab, EncoderConfig(), max_facts=1,
+    tokens, trace = decoder.greedy_decode(entity, params, vocab, EncoderConfig(),
                                           max_len=6, copy_only=True, return_trace=True)
     assert len(tokens) == 6  # no <EOS> path, runs to max_len
     for _, alpha in trace:
@@ -374,8 +373,7 @@ def test_greedy_decode_respects_max_len_and_strips_specials():
         entity = random_entity(rng, vocab)
         for max_len in (1, 3, 7):
             tokens = decoder.greedy_decode(entity, params, vocab,
-                                           EncoderConfig(),
-                                           max_facts=5, max_len=max_len)
+                                           EncoderConfig(), max_len=max_len)
             assert len(tokens) <= max_len
             assert "<UNK>" not in tokens
             assert "<EOS>" not in tokens
@@ -388,8 +386,7 @@ def test_greedy_decode_reselects_when_fact_has_no_words():
     vocab = corpus.Vocabulary(["<UNK>", "<SOS>", "<EOS>", "road"])
     entity = corpus.Entity("Q", [corpus.Fact.build("kind", "of the")], None)
     tokens, trace = decoder.greedy_decode(entity, params, vocab,
-                                          EncoderConfig(),
-                                          max_facts=2, max_len=4, return_trace=True)
+                                          EncoderConfig(), max_len=4, return_trace=True)
     for _, alpha in trace:
         assert np.argmax(alpha) == 1  # mean slot; the wordless fact is masked
 
@@ -402,8 +399,7 @@ def test_greedy_trace_rows_cover_exactly_the_entitys_slots():
         params = DecoderParams(dims, rng=np.random.default_rng(40 + seed))
         entity = random_entity(rng, vocab)
         _, trace = decoder.greedy_decode(entity, params, vocab,
-                                         EncoderConfig(),
-                                         max_facts=5, max_len=6, return_trace=True)
+                                         EncoderConfig(), max_len=6, return_trace=True)
         assert trace
         for _, alpha in trace:
             assert alpha.shape == (len(entity.facts) + 1,)
@@ -422,7 +418,7 @@ def test_greedy_decode_never_emits_rows_past_the_vocabulary():
     for seed in range(50):
         params = DecoderParams(config.dims(), rng=np.random.default_rng(seed))
         tokens, trace = decoder.greedy_decode(entity, params, vocab,
-                                              config.encoder_config(), config.max_facts,
-                                              config.max_decode_len, return_trace=True)
+                                              config.encoder_config(), config.max_decode_len,
+                                              return_trace=True)
         assert all(token in vocab for token, _ in trace)
         assert all(token in vocab for token in tokens)

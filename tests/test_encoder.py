@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,10 +151,10 @@ def _entity_setup(d=2):
 def test_encode_entity_mean_fact_is_elementwise_mean():
     vocab, table = _entity_setup()
     cfg = EncoderConfig()
-    enc = encoder.encode_entity(_two_fact_entity(), table, vocab, cfg, max_facts=4)
+    enc = encoder.encode_entity(_two_fact_entity(), table, vocab, cfg)
     # single-word phrases in positional mode scale by l = [k/d] = [0.5, 1.0]
     f0, f1 = enc.embeddings.data[0], enc.embeddings.data[1]
-    mean = enc.embeddings.data[enc.mean_slot]
+    mean = enc.embeddings.data[2]
     assert np.allclose(mean, (f0 + f1) / 2, atol=1e-12)
 
 
@@ -160,22 +162,22 @@ def test_encode_entity_single_fact_mean_equals_fact():
     vocab, table = _entity_setup()
     cfg = EncoderConfig()
     entity = corpus.Entity("Q1", [corpus.Fact(["a"], [], [])], None)
-    enc = encoder.encode_entity(entity, table, vocab, cfg, max_facts=4)
+    enc = encoder.encode_entity(entity, table, vocab, cfg)
     assert np.allclose(enc.embeddings.data[1], enc.embeddings.data[0])
 
 
 def test_encode_entity_one_slot_per_fact_plus_mean():
     vocab, table = _entity_setup()
     cfg = EncoderConfig()
-    enc = encoder.encode_entity(_two_fact_entity(), table, vocab, cfg, max_facts=5)
+    enc = encoder.encode_entity(_two_fact_entity(), table, vocab, cfg)
     assert enc.embeddings.data.shape == (3, 2)
     assert enc.mask.tolist() == [True, True, True]
-    assert enc.n_facts == 2 and enc.mean_slot == 2
+    # every fact is encoded: the limit on facts applies when entities are read
     seven = corpus.Entity("Q7", [corpus.Fact(["a"], [], [])] * 7, None)
-    enc = encoder.encode_entity(seven, table, vocab, cfg, max_facts=5)
-    assert enc.embeddings.data.shape == (6, 2)
-    assert enc.mask.tolist() == [True] * 6
-    assert enc.n_facts == 5 and enc.mean_slot == 5
+    enc = encoder.encode_entity(seven, table, vocab, cfg)
+    assert enc.embeddings.data.shape == (8, 2)
+    assert enc.mask.tolist() == [True] * 8
+    assert [f.name for f in dataclasses.fields(enc)] == ["embeddings", "mask"]
 
 
 def test_encode_entity_fixed_mean_is_shared_across_entities():
@@ -183,11 +185,10 @@ def test_encode_entity_fixed_mean_is_shared_across_entities():
     cfg = EncoderConfig()
     rng = np.random.default_rng(0)
     frozen = Tensor(encoder.fixed_mean_vector(rng, 2))
-    one = encoder.encode_entity(_two_fact_entity(), table, vocab, cfg, 4, fixed_mean=frozen)
+    one = encoder.encode_entity(_two_fact_entity(), table, vocab, cfg, fixed_mean=frozen)
     entity2 = corpus.Entity("Q2", [corpus.Fact(["b"], [], [])], None)
-    two = encoder.encode_entity(entity2, table, vocab, cfg, 4, fixed_mean=frozen)
-    assert np.array_equal(one.embeddings.data[one.mean_slot],
-                          two.embeddings.data[two.mean_slot])
+    two = encoder.encode_entity(entity2, table, vocab, cfg, fixed_mean=frozen)
+    assert np.array_equal(one.embeddings.data[2], two.embeddings.data[1])
     assert (np.abs(frozen.data) <= 1 / np.sqrt(2)).all()
 
 
@@ -213,23 +214,23 @@ def test_encode_entity_permutation_covariant():
     facts = [corpus.Fact.build(p, v) for p, v in
              [("kind", "a b"), ("place", "c"), ("name", "d e a")]]
     entity = corpus.Entity("Q", facts, None)
-    enc = encoder.encode_entity(entity, table, vocab, cfg, max_facts=4)
+    enc = encoder.encode_entity(entity, table, vocab, cfg)
     perm = [2, 0, 1]
     shuffled = corpus.Entity("Q", [facts[i] for i in perm], None)
-    enc_perm = encoder.encode_entity(shuffled, table, vocab, cfg, max_facts=4)
+    enc_perm = encoder.encode_entity(shuffled, table, vocab, cfg)
     for new_row, old_row in enumerate(perm):
         assert np.allclose(enc_perm.embeddings.data[new_row], enc.embeddings.data[old_row])
     assert np.allclose(enc_perm.embeddings.data[3], enc.embeddings.data[3], atol=1e-12)
 
 
-def _oracle(entity, table, vocab, cfg, max_facts, fixed_mean, coeffs):
+def _oracle(entity, table, vocab, cfg, fixed_mean, coeffs):
     """Slot rows and the gradient of sum(coeffs * rows) into the word table, fact by fact.
 
     Written in plain numpy from ``positional_weights``: a fact's row is
     its phrase's word embeddings weighted by column j of the weights (or
     by 1/J when mean pooling) and summed.
     """
-    facts = entity.facts[:max_facts]
+    facts = entity.facts
     rows, grad = [], np.zeros_like(table.data)
     mean_coeff = coeffs[len(facts)] / len(facts) if fixed_mean is None else 0.0
     for i, fact in enumerate(facts):
@@ -257,9 +258,9 @@ _PHRASES = st.lists(st.tuples(st.lists(_WORD, min_size=1, max_size=5),
        batch=st.lists(_PHRASES, min_size=1, max_size=5),
        dim=st.integers(1, 6), encoding=st.sampled_from(encoder.ENCODING_MODES),
        mean_fact=st.sampled_from(encoder.MEAN_FACT_MODES),
-       max_facts=st.integers(1, 7), max_phrase_len=st.integers(1, 10))
+       max_phrase_len=st.integers(1, 10))
 def test_encode_entity_equals_per_fact_oracle(seed, n_known, batch, dim, encoding, mean_fact,
-                                              max_facts, max_phrase_len):
+                                              max_phrase_len):
     # encode_entities on 1-5 entities against the oracle, entity by entity;
     # each entity's rows against its batch of one (encode_entity)
     rng = np.random.default_rng(seed)
@@ -269,11 +270,11 @@ def test_encode_entity_equals_per_fact_oracle(seed, n_known, batch, dim, encodin
     entities = [corpus.Entity(f"Q{i}", [corpus.Fact(p, v, []) for p, v in phrases], None)
                 for i, phrases in enumerate(batch)]
     frozen = Tensor(encoder.fixed_mean_vector(rng, dim)) if mean_fact == "fixed_random" else None
-    n = np.array([min(len(phrases), max_facts) for phrases in batch])
+    n = np.array([len(phrases) for phrases in batch])  # 1-7 facts, every one encoded
     coeffs = rng.normal(size=(n.sum() + len(n), dim))
     with Tape() as tape:
-        fact_rows, mean_rows = encoder.encode_entities(entities, table, vocab, cfg, max_facts,
-                                                       frozen)
+        fact_rows, mean_rows = encoder.encode_entities(entities, table, vocab, cfg,
+                                                       fixed_mean=frozen)
         loss = sum_all(mul(concat([fact_rows, mean_rows]), Tensor(coeffs)))
     backward(loss, tape)
     assert fact_rows.data.shape == (n.sum(), dim) and mean_rows.data.shape == (len(n), dim)
@@ -281,13 +282,12 @@ def test_encode_entity_equals_per_fact_oracle(seed, n_known, batch, dim, encodin
     by_phrase = {}
     for b, (entity, start) in enumerate(zip(entities, np.cumsum(n) - n)):
         own = slice(start, start + n[b])
-        rows, grad = _oracle(entity, table, vocab, cfg, max_facts,
-                             None if frozen is None else frozen.data,
+        rows, grad = _oracle(entity, table, vocab, cfg, None if frozen is None else frozen.data,
                              np.vstack([coeffs[own], coeffs[n.sum() + b]]))
         expected_grad += grad
         got = np.vstack([fact_rows.data[own], mean_rows.data[b]])
         assert np.abs(got - rows).max() <= 1e-12 * np.abs(rows).max()
-        alone = encoder.encode_entity(entity, table, vocab, cfg, max_facts, frozen)
+        alone = encoder.encode_entity(entity, table, vocab, cfg, fixed_mean=frozen)
         assert np.array_equal(fact_rows.data[own], alone.embeddings.data[:-1])
         scale = np.abs(alone.embeddings.data[:-1]).max()
         assert np.abs(mean_rows.data[b] - alone.embeddings.data[-1]).max() <= 1e-15 * scale
@@ -311,7 +311,8 @@ def test_encode_entities_gradient_matches_finite_differences(mean_fact):
     coeffs = Tensor(rng.normal(size=(6 + 3, 3)))
 
     def f(params):
-        rows = encoder.encode_entities(entities, params[0], vocab, EncoderConfig(), 5, frozen)
+        rows = encoder.encode_entities(entities, params[0], vocab, EncoderConfig(),
+                                       fixed_mean=frozen)
         return sum_all(mul(tanh(concat(rows)), coeffs))
 
     assert grad_check(f, [table]) < 1e-6
@@ -332,7 +333,7 @@ def test_identical_phrases_give_bit_equal_rows():
         table = Tensor(rng.normal(size=(len(vocab), dim)))
         for encoding in encoder.ENCODING_MODES:
             cfg = EncoderConfig(encoding=encoding)
-            rows = encoder.encode_entity(entity, table, vocab, cfg, max_facts=20).embeddings.data
+            rows = encoder.encode_entity(entity, table, vocab, cfg).embeddings.data
             for fact in (long, mid, short):
                 same = [i for i, f in enumerate(facts) if f is fact]
                 for i in same[1:]:

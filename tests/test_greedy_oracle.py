@@ -39,11 +39,12 @@ def replay(entity, params, vocab, config, max_len, tokens, trace):
     called on a batch of one entity and one step."""
     dims = params.dims
     enc = encode_entity(entity, params.word_emb, vocab, config.encoder_config(),
-                        config.max_facts, params.fixed_mean())
+                        fixed_mean=params.fixed_mean())
+    mean_slot = len(entity.facts)
     keys = attention_keys(enc.embeddings, params)
     mask = enc.mask[None].copy()  # (1, S)
     if config.copy_only:
-        mask[0, enc.mean_slot] = False
+        mask[0, mean_slot] = False
     h = Tensor(np.zeros((1, 1, dims.hidden_dim)))  # (B, T, H)
     w_prev = Tensor(np.zeros((1, 1, dims.embed_dim)))
     v_prev = Tensor(np.zeros((1, 1, dims.copy_width)))
@@ -52,14 +53,14 @@ def replay(entity, params, vocab, config, max_len, tokens, trace):
         alpha = fact_attention(keys, mask, h, params)
         # wordless facts that won an earlier attempt of this step are masked
         while (top := int(np.argmax(alpha.data[0]))) != slot:
-            assert top != enc.mean_slot and not entity.facts[top].factual_words
+            assert top != mean_slot and not entity.facts[top].factual_words
             mask[0, top] = False
             alpha = fact_attention(keys, mask, h, params)
         assert np.abs(alpha.data[0] - row).max() <= 1e-12
         h = decoder_step(slot_embedding(enc.embeddings, [[slot]]), w_prev, v_prev,
                          getitem(h, 0), params)
         f_t, h_t = slot_embedding(enc.embeddings, [slot]), getitem(h, 0)  # (1, d), (1, H)
-        if slot == enc.mean_slot:
+        if slot == mean_slot:
             dist = vocab_logits(attention_context(alpha, enc.embeddings), h_t, params)
             word = int(np.argmax(dist.data[0, : len(vocab)]))
             assert token == vocab.word(word)
@@ -76,7 +77,7 @@ def replay(entity, params, vocab, config, max_len, tokens, trace):
         # decoding stopped early: attending masks every slot left, one by one
         while mask.any():
             top = int(np.argmax(fact_attention(keys, mask, h, params).data[0]))
-            assert top != enc.mean_slot and not entity.facts[top].factual_words
+            assert top != mean_slot and not entity.facts[top].factual_words
             mask[0, top] = False
     assert tokens == [t for t, _ in trace if t not in (EOS, UNK)]
 
@@ -108,8 +109,7 @@ def test_greedy_decode_equals_the_layer_functions(seed, copy_only, mean_fact, en
         for _ in range(repeated):
             facts.insert(int(rng.integers(len(facts) + 1)), facts[int(rng.integers(len(facts)))])
         entity = corpus.Entity(entity.id, facts, None)
-        tokens, trace = greedy_decode(entity, params, vocab, config.encoder_config(),
-                                      config.max_facts, max_len, copy_only=copy_only,
-                                      return_trace=True)
+        tokens, trace = greedy_decode(entity, params, vocab, config.encoder_config(), max_len,
+                                      copy_only=copy_only, return_trace=True)
         assert len(trace) <= max_len
         replay(entity, params, vocab, config, max_len, tokens, trace)

@@ -49,18 +49,19 @@ def _gru_step(x, h, p):
 def per_token_loss(entity, aligned, params, vocab, config):
     dims = params.dims
     enc = encode_entity(entity, params.word_emb, vocab, config.encoder_config(),
-                        config.max_facts, params.fixed_mean())
+                        fixed_mean=params.fixed_mean())
+    mean_slot = len(entity.facts)
     keys = attention_keys(enc.embeddings, params)
     mask = enc.mask[None].copy()  # (1, S)
     if config.copy_only:
-        mask[0, enc.mean_slot] = False
+        mask[0, mean_slot] = False
     h = Tensor(np.zeros((1, dims.hidden_dim)))
     w_prev = Tensor(np.zeros((1, dims.embed_dim)))
     v_prev = Tensor(np.zeros((1, dims.copy_width)))
     terms = []
     for token in aligned.tokens:
         copied = token.source is Source.FACT
-        gold = token.fact_index if copied else enc.mean_slot
+        gold = token.fact_index if copied else mean_slot
         scored = copied or not config.copy_only
         if scored:
             alpha = fact_attention(keys, mask, reshape(h, (1, 1, dims.hidden_dim)), params)

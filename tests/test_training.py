@@ -225,6 +225,23 @@ def test_overfit_loss_shrinks():
     assert np.mean(history[-10:]) < np.mean(history[:10])
 
 
+def test_train_reads_every_fact_of_an_entity():
+    # the limit on facts applies when entities are read; an entity built
+    # otherwise is aligned, encoded, trained on and decoded whole
+    records = [{"id": f"Q{i}", "facts": [{"property": "kind", "value": "building"},
+                                          {"property": "colour", "value": "red"},
+                                          {"property": "place", "value": f"town{i} port"}],
+                "description": f"port town{i}"} for i in range(4)]
+    entities = [corpus.parse_record(r) for r in records]
+    config = tiny_config(max_facts=2, epochs=1)
+    checkpoint = training.train(entities, entities, config)
+    for entity in entities:
+        assert {t.fact_index for t in align_description(entity, checkpoint.vocab).tokens[:-1]} \
+            == {2}
+        _, trace = training.generate_description(checkpoint, entity, return_trace=True)
+        assert trace and all(alpha.shape == (len(entity.facts) + 1,) for _, alpha in trace)
+
+
 def test_generate_description_uses_checkpoint_settings():
     entities, config = load_toy(10)
     checkpoint = training.train(entities, entities[:2], config)
