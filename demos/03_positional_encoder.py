@@ -6,8 +6,9 @@ Run:  python3 demos/03_positional_encoder.py
 import numpy as np
 
 from factdesc import corpus
-from factdesc.encoder import EncoderConfig, encode_entity, positional_weights
+from factdesc.encoder import encode_entity, positional_weights
 from factdesc.tensor import Tensor
+from factdesc.training import TrainConfig
 
 np.set_printoptions(precision=3, suppress=True)
 
@@ -35,8 +36,7 @@ entity = corpus.Entity("Q19345316", [
 ], None)
 
 for mode in ("positional", "mean_pool"):
-    cfg = EncoderConfig(encoding=mode)
-    enc = encode_entity(entity, table, vocab, cfg)
+    enc = encode_entity(entity, table, vocab, TrainConfig(encoding=mode))
     print(f"\n{mode} encoding (rows: fact 0, fact 1, mean fact):")
     print(enc.embeddings.data)
 

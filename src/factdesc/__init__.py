@@ -35,7 +35,7 @@ from .decoder import (
     greedy_decode,
     vocab_logits,
 )
-from .encoder import EncoderConfig, encode_entities, encode_entity, positional_weights
+from .encoder import encode_entities, encode_entity, positional_weights
 from .metrics import EvalPair, MetricReport, bleu, cider, evaluate_corpus, meteor_exact, rouge_l
 from .tensor import AdamState, Tape, Tensor, adam_step, backward, grad_check
 from .training import (

@@ -1,6 +1,6 @@
 """Command-line entry point wiring corpus -> training -> inference -> scores.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data error or unopenable path, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ def _read_text_rows(path):
                 continue
             try:
                 record = json.loads(line)
-                key, text = str(record["id"]), record["text"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                key, text = corpus._text(record["id"], "id"), record["text"]
+            except (json.JSONDecodeError, KeyError, TypeError, DataError) as exc:
                 raise DataError(f"{path}:{line_no}: expected {{'id', 'text'}} rows ({exc})")
             if not isinstance(text, str):
                 raise DataError(f"{path}:{line_no}: text of {key} must be a string")
@@ -198,7 +198,7 @@ def run(argv):
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (DataError, FileNotFoundError, ConfigError, ShapeError) as exc:
+    except (DataError, OSError, ConfigError, ShapeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, FloatingPointError) as exc:

@@ -27,6 +27,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_MAX_FACTS = 60
 DEFAULT_MAX_FACTUAL_WORDS = 60
+VOCAB_SOURCES = ("descriptions", "descriptions+properties")
 
 UNK, SOS, EOS = "<UNK>", "<SOS>", "<EOS>"
 
@@ -39,10 +40,6 @@ STOPWORDS = frozenset({
 })
 
 
-def _is_punct(ch):
-    return unicodedata.category(ch).startswith("P")
-
-
 def tokenize(text):
     """Lowercase and split on whitespace, trimming edge punctuation.
 
@@ -51,11 +48,12 @@ def tokenize(text):
     empty are dropped.
     """
     tokens = []
+    category = unicodedata.category  # two letters, "P?" for punctuation
     for raw in text.lower().split():
         start, end = 0, len(raw)
-        while start < end and _is_punct(raw[start]):
+        while start < end and category(raw[start])[0] == "P":
             start += 1
-        while end > start and _is_punct(raw[end - 1]):
+        while end > start and category(raw[end - 1])[0] == "P":
             end -= 1
         if end > start:
             tokens.append(raw[start:end])
@@ -128,7 +126,7 @@ class Vocabulary:
         return self.words[idx]
 
 
-def build_vocabulary(train_entities, size=1000, source="descriptions"):
+def build_vocabulary(train_entities, size, source="descriptions"):
     """Top-``size`` tokens of the training descriptions, plus specials.
 
     Ties break lexicographically.  ``source`` may be ``descriptions`` or
@@ -137,7 +135,7 @@ def build_vocabulary(train_entities, size=1000, source="descriptions"):
     """
     if size <= 0:
         raise ConfigError(f"vocabulary size must be positive, got {size}")
-    if source not in ("descriptions", "descriptions+properties"):
+    if source not in VOCAB_SOURCES:
         raise ConfigError(f"unknown vocab_source {source!r}")
     counts: dict[str, int] = {}
     seen_description = False

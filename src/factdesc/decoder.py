@@ -36,14 +36,14 @@ from .tensor import (
 
 @dataclass(frozen=True)
 class ModelDims:
-    """Sizes every parameter shape derives from."""
+    """Sizes every parameter shape derives from (``TrainConfig.dims``)."""
 
-    embed_dim: int = 100    # word and fact embeddings
-    hidden_dim: int = 100   # GRU state
-    attn_dim: int = 100     # attention hidden layer
-    head_dim: int = 100     # vocab/copy head hidden layer
-    vocab_size: int = 1003  # specials included
-    copy_width: int = 60    # positions the copy head can point at
+    embed_dim: int   # word and fact embeddings
+    hidden_dim: int  # GRU state
+    attn_dim: int    # attention hidden layer
+    head_dim: int    # vocab/copy head hidden layer
+    vocab_size: int  # specials included
+    copy_width: int  # positions the copy head can point at
 
     @property
     def gru_input(self):
@@ -216,25 +216,25 @@ def copy_logits(f, h, n_words, params):
     return masked_softmax(scores, np.arange(width) < counts[:, None])
 
 
-def greedy_decode(entity, params, vocab, enc_cfg, max_len, copy_only=False,
-                  return_trace=False):
-    """Greedy generation for one entity, stepped on plain arrays.
+def greedy_decode(entity, params, vocab, config, max_len=None, return_trace=False):
+    """Greedy generation for one entity under the model's ``TrainConfig``, on plain arrays.
 
     Each step takes the argmax slot: one of the entity's facts, or the mean
     fact at slot ``len(entity.facts)``.  A fact with no factual words that
     wins is masked out for the rest of the decode and the step attends again.
-    Stops at ``<EOS>`` or ``max_len``; ``<UNK>`` emissions are stripped from
-    the returned tokens (the trace keeps every step, with one attention
-    weight per slot).  The vocabulary head picks among the ``len(vocab)``
-    words only.  With ``copy_only`` the mean-fact slot is never selectable.
-    The layers above, regrouped: each slot passes through the GRU's fact
-    columns once, and a copy feeds back its position's column, not a one-hot.
+    Stops at ``<EOS>`` or ``max_len`` (default ``config.max_decode_len``);
+    ``<UNK>`` is stripped from the returned tokens (the trace keeps every
+    step, with one attention weight per slot).  The vocabulary head picks
+    among the ``len(vocab)`` words only.  With ``config.copy_only`` the
+    mean-fact slot is never selectable.  The layers above, regrouped: each
+    slot passes through the GRU's fact columns once, and a copy feeds back
+    its position's column, not a one-hot.
     """
-    enc = encode_entity(entity, params.word_emb, vocab, enc_cfg, fixed_mean=params.fixed_mean())
+    enc = encode_entity(entity, params.word_emb, vocab, config, fixed_mean=params.fixed_mean())
     slots = enc.embeddings.data
     keys = attention_keys(enc.embeddings, params).data
     mask, mean_slot = enc.mask.copy(), len(entity.facts)
-    if copy_only:
+    if config.copy_only:
         mask[mean_slot] = False
     d, n_vocab = params.dims.embed_dim, len(vocab)
     p = {name: t.data for name, t in params.named_tensors()}
@@ -247,7 +247,7 @@ def greedy_decode(entity, params, vocab, enc_cfg, max_len, copy_only=False,
     h = np.zeros(params.dims.hidden_dim)
     trace = []
     with np.errstate(over="ignore"):  # a saturated gate, as in ``gru``
-        for _ in range(max_len):
+        for _ in range(config.max_decode_len if max_len is None else max_len):
             hidden = keys + h @ query_w.T
             energies = (np.tanh(hidden, out=hidden) * energy_w).sum(axis=1) + energy_b
             while mask.any():

@@ -12,7 +12,8 @@ weight 1/J).  Every fact of an entity is encoded (facts are cut when
 entities are read), and the mean of all fact embeddings is appended as
 one extra slot (the phantom fact that generates vocabulary words), so an
 entity with N facts exposes exactly N + 1 slots; a frozen vector, when
-given, stands in for that mean.  d is the width of the word table.
+given, stands in for that mean.  d is the word table's width; ``encoding``
+and the phrase cut ``max_phrase_len`` come from the model's ``TrainConfig``.
 
 A minibatch of B entities is encoded in one pass in either mode
 (:func:`encode_entities`): one gather of all their phrase words, one
@@ -36,16 +37,6 @@ from .tensor import Tensor, concat, embedding_rows, matmul, mul, segment_sum
 
 ENCODING_MODES = ("positional", "mean_pool")
 MEAN_FACT_MODES = ("mean", "fixed_random")
-
-
-@dataclass
-class EncoderConfig:
-    encoding: str = "positional"
-    max_phrase_len: int = 60
-
-    def __post_init__(self):
-        if self.encoding not in ENCODING_MODES:
-            raise ConfigError(f"unknown encoding mode {self.encoding!r}")
 
 
 @dataclass
@@ -86,16 +77,17 @@ def fixed_mean_vector(rng, dim):
     return rng.uniform(-bound, bound, size=(1, dim))
 
 
-def encode_entities(entities, word_embeddings, vocab, cfg, *, fixed_mean=None):
+def encode_entities(entities, word_embeddings, vocab, config, *, fixed_mean=None):
     """Fact rows (ΣN, d) of B entities, entity by entity, then their mean rows (B, d).
 
-    Each entity contributes all its facts; phrases are cut to
-    ``cfg.max_phrase_len`` words, and unknown words read ``<UNK>``.  The
-    mean rows are the (1, d) ``fixed_mean`` repeated when it is given.
+    ``config`` is the model's ``TrainConfig``: its ``encoding`` weights the words,
+    and phrases are cut to its ``max_phrase_len``.  Each entity contributes all
+    its facts; unknown words read ``<UNK>``.  The mean rows are the (1, d)
+    ``fixed_mean`` repeated when it is given.
     """
     phrases, spans = [], []  # spans: (first fact row, fact count) per entity
     for entity in entities:
-        cut = [f.phrase()[: cfg.max_phrase_len] for f in entity.facts]
+        cut = [f.phrase()[: config.max_phrase_len] for f in entity.facts]
         if not cut or not all(cut):
             what = "a fact with an empty phrase" if cut else "an entity without facts"
             raise ConfigError(f"entity {entity.id}: cannot encode {what}")
@@ -104,7 +96,7 @@ def encode_entities(entities, word_embeddings, vocab, cfg, *, fixed_mean=None):
     lengths = [len(p) for p in phrases]
     dim = word_embeddings.data.shape[1]
     words = embedding_rows(word_embeddings, vocab.indices([w for p in phrases for w in p]))
-    weights = np.concatenate([_weight_block(j, dim, cfg.encoding) for j in lengths])
+    weights = np.concatenate([_weight_block(j, dim, config.encoding) for j in lengths])
     rows = segment_sum(mul(words, Tensor(weights)), lengths)
     if fixed_mean is not None:
         return rows, embedding_rows(fixed_mean, np.zeros(len(spans), dtype=np.intp))
@@ -114,8 +106,9 @@ def encode_entities(entities, word_embeddings, vocab, cfg, *, fixed_mean=None):
     return rows, matmul(Tensor(block), rows)
 
 
-def encode_entity(entity, word_embeddings, vocab, cfg, *, fixed_mean=None):
+def encode_entity(entity, word_embeddings, vocab, config, *, fixed_mean=None):
     """The fact embeddings plus the mean-fact slot: :func:`encode_entities`
     of a batch of one."""
-    slots = concat(encode_entities([entity], word_embeddings, vocab, cfg, fixed_mean=fixed_mean))
+    slots = concat(encode_entities([entity], word_embeddings, vocab, config,
+                                   fixed_mean=fixed_mean))
     return EncodedEntity(slots, np.ones(len(entity.facts) + 1, dtype=bool))

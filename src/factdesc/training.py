@@ -28,7 +28,8 @@ from math import prod
 import numpy as np
 
 from .alignment import Source, align_description
-from .corpus import EOS, SOS, UNK, Vocabulary, build_vocabulary
+from .corpus import (DEFAULT_MAX_FACTS, DEFAULT_MAX_FACTUAL_WORDS, EOS, SOS, UNK, VOCAB_SOURCES,
+                     Vocabulary, build_vocabulary)
 from .decoder import (
     DecoderParams,
     ModelDims,
@@ -42,7 +43,7 @@ from .decoder import (
     vocab_logits,
     copy_logits,
 )
-from .encoder import MEAN_FACT_MODES, EncoderConfig, encode_entities
+from .encoder import ENCODING_MODES, MEAN_FACT_MODES, encode_entities
 from .errors import CheckpointError, ConfigError, DataError, TrainingDivergenceError
 from .metrics import EvalPair, bleu
 from .tensor import (AdamState, Tape, Tensor, adam_step, add, backward, concat, embedding_rows,
@@ -65,8 +66,8 @@ class TrainConfig:
     learning_rate: float = 0.001
     batch_size: int = 32
     seed: int = 42
-    max_facts: int = 60  # applied when entities are read (corpus.load_entities)
-    max_factual_words: int = 60
+    max_facts: int = DEFAULT_MAX_FACTS  # applied when entities are read (corpus.load_entities)
+    max_factual_words: int = DEFAULT_MAX_FACTUAL_WORDS  # also the copy width and phrase cut
     vocab_size: int = 1000
     embed_dim: int = 100
     hidden_dim: int = 100
@@ -86,16 +87,20 @@ class TrainConfig:
         for name in positive:
             if (value := getattr(self, name)) is not None and not 0 < value < np.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
-        self.encoder_config()  # validates the encoding mode
-        if self.mean_fact not in MEAN_FACT_MODES:
-            raise ConfigError(f"unknown mean_fact mode {self.mean_fact!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        for name, modes in (("encoding", ENCODING_MODES), ("mean_fact", MEAN_FACT_MODES),
+                            ("vocab_source", VOCAB_SOURCES)):
+            if (value := getattr(self, name)) not in modes:
+                raise ConfigError(f"unknown {name} mode {value!r}, expected one of {modes}")
+
+    @property
+    def max_phrase_len(self):  # the encoder's phrase cut; not a field, so never stored
+        return self.max_factual_words
 
     def dims(self):
         return ModelDims(self.embed_dim, self.hidden_dim, self.attn_dim,
                          self.head_dim, self.vocab_size + 3, self.max_factual_words)
-
-    def encoder_config(self):
-        return EncoderConfig(self.encoding, max_phrase_len=self.max_factual_words)
 
     def to_dict(self):
         return dataclasses.asdict(self)
@@ -155,8 +160,7 @@ def batch_loss(entities, aligned, params, vocab, config, parts=False):
     """
     dims = params.dims
     n_facts = np.array([len(entity.facts) for entity in entities])
-    fact_rows, mean_rows = encode_entities(entities, params.word_emb, vocab,
-                                           config.encoder_config(),
+    fact_rows, mean_rows = encode_entities(entities, params.word_emb, vocab, config,
                                            fixed_mean=params.fixed_mean())
     batch, steps, slots = len(entities), max(len(a.tokens) for a in aligned), n_facts.max() + 1
     # the mean-fact slot n is live unless copy_only; padding slots never are
@@ -242,8 +246,7 @@ def _dev_bleu4(entities, params, vocab, config):
     for entity in entities:
         if not entity.description_tokens:
             continue
-        candidate = greedy_decode(entity, params, vocab, config.encoder_config(),
-                                  config.max_decode_len, copy_only=config.copy_only)
+        candidate = greedy_decode(entity, params, vocab, config)
         pairs.append(EvalPair(candidate, entity.description_tokens))
     if not pairs:
         return None
@@ -324,10 +327,8 @@ def train(train_entities, dev_entities, config):
 
 def generate_description(checkpoint, entity, max_len=None, return_trace=False):
     """Greedy decoding with everything taken from the checkpoint."""
-    config = checkpoint.config
-    return greedy_decode(entity, checkpoint.params, checkpoint.vocab, config.encoder_config(),
-                         max_len if max_len is not None else config.max_decode_len,
-                         copy_only=config.copy_only, return_trace=return_trace)
+    return greedy_decode(entity, checkpoint.params, checkpoint.vocab, checkpoint.config,
+                         max_len, return_trace)
 
 
 def count_parameters(config):

@@ -136,6 +136,33 @@ def test_evaluate_non_string_text_exits_2_with_its_line(tmp_path, capsys):
     assert f"{cands}:2: " in err and "must be a string" in err
 
 
+@pytest.mark.parametrize("bad_id", [None, True, [1], {"q": 1}],
+                         ids=["null", "boolean", "array", "object"])
+def test_evaluate_non_scalar_id_exits_2_with_its_line(tmp_path, capsys, bad_id):
+    # read with str(), a null id became "None" and matched a reference of that name
+    cands, refs = tmp_path / "c.jsonl", tmp_path / "r.jsonl"
+    for path, odd in ((cands, bad_id), (refs, str(bad_id))):
+        path.write_text(json.dumps({"id": "a", "text": "x y"}) + "\n"
+                        + json.dumps({"id": odd, "text": "x"}) + "\n")
+    assert cli.run(["evaluate", "--candidates", str(cands), "--references", str(refs),
+                    "--out", str(tmp_path / "report.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"{cands}:2: " in err and "id must be a string or a number" in err
+
+
+def test_evaluate_numeric_ids_match_their_text(tmp_path):
+    cands, refs = tmp_path / "c.jsonl", tmp_path / "r.jsonl"
+    cands.write_text(json.dumps({"id": 7, "text": "x y"}) + "\n"
+                     + json.dumps({"id": 2.5, "text": "z"}) + "\n")
+    refs.write_text(json.dumps({"id": "2.5", "text": "z"}) + "\n"
+                    + json.dumps({"id": "7", "text": "x y"}) + "\n")
+    out = tmp_path / "report.json"
+    assert cli.run(["evaluate", "--candidates", str(cands), "--references", str(refs),
+                    "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["corpus_size"] == 2 and report["BLEU-1"] == pytest.approx(100.0)
+
+
 def test_align_writes_records_and_stats(trained, tmp_path, capsys):
     base, train_path, _, _ = trained
     out = tmp_path / "aligned.jsonl"
@@ -156,6 +183,26 @@ def test_align_writes_records_and_stats(trained, tmp_path, capsys):
 def test_missing_file_exits_2(tmp_path):
     assert cli.run(["align", "--data", str(tmp_path / "missing.jsonl"),
                     "--out", str(tmp_path / "out.jsonl")]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--input", "--out"])
+def test_generate_directory_path_exits_2(trained, tmp_path, capsys, flag):
+    # a directory cannot be opened as a file: IsADirectoryError, an OSError
+    paths = {"--input": tmp_path / "in.jsonl", "--out": tmp_path / "out.jsonl"}
+    toycorpus.write_jsonl(toycorpus.generate_corpus(2, seed=9), paths["--input"])
+    paths[flag] = tmp_path
+    assert cli.run(["generate", "--checkpoint", str(trained[3]), "--input", str(paths["--input"]),
+                    "--out", str(paths["--out"])]) == 2
+    assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_train_negative_seed_exits_2(trained, tmp_path, capsys):
+    _, train_path, dev_path, _ = trained
+    out = tmp_path / "model.fks"
+    assert cli.run(["train", "--train", str(train_path), "--dev", str(dev_path),
+                    "--config", str(write_config(tmp_path, seed=-1)), "--out", str(out)]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_attention_tsv_rows_are_distributions(trained, tmp_path):
@@ -234,6 +281,14 @@ def test_generate_manifest_not_an_object_exits_2(trained, tmp_path, capsys):
     _rewrite_manifest(trained[3], bad, lambda m: [m])
     code, err = _generate_exit(bad, tmp_path, capsys)
     assert code == 2 and "not a JSON object" in err
+
+
+@pytest.mark.parametrize("field", ["encoding", "mean_fact", "vocab_source"])
+def test_generate_manifest_unknown_mode_exits_2(trained, tmp_path, capsys, field):
+    bad = tmp_path / "bad.fks"
+    _rewrite_manifest(trained[3], bad, lambda m: {**m, "config": {**m["config"], field: "bogus"}})
+    code, err = _generate_exit(bad, tmp_path, capsys)
+    assert code == 2 and f"unknown {field} mode 'bogus'" in err
 
 
 @pytest.mark.parametrize("key", ["config", "vocab", "meta", "tensors"])

@@ -18,6 +18,11 @@ def test_tokenize_strips_edge_punctuation():
     assert corpus.tokenize("Ehime, Japan") == ["ehime", "japan"]
 
 
+def test_tokenize_strips_non_ascii_edge_punctuation():
+    # «, », ¿ and ? are Unicode punctuation (categories Pi, Pf, Po); ß and é are letters
+    assert corpus.tokenize("«Straße» ¿qué? «été»!") == ["straße", "qué", "été"]
+
+
 def test_tokenize_keeps_internal_hyphen_and_apostrophe():
     assert corpus.tokenize("Jean-Luc's (painting)") == ["jean-luc's", "painting"]
 

@@ -5,7 +5,6 @@ import pytest
 
 from factdesc import corpus, decoder
 from factdesc.decoder import DecoderParams, ModelDims
-from factdesc.encoder import EncoderConfig
 from factdesc.errors import EmptyFactError, ShapeError
 from factdesc.tensor import Tensor, getitem, grad_check, masked_softmax, mul, sum_all
 from factdesc.training import TrainConfig
@@ -116,7 +115,7 @@ def test_fact_attention_pairs_every_state_with_every_slot():
 def test_identical_slots_get_bit_equal_attention_wherever_they_sit(steps):
     # two facts with the same phrase embed identically, and the argmax
     # must then take the lower slot: their weights must tie exactly
-    params = DecoderParams(ModelDims(), rng=np.random.default_rng(22))
+    params = DecoderParams(TrainConfig().dims(), rng=np.random.default_rng(22))
     rng = np.random.default_rng(23 + steps)
     for _ in range(150):
         n = int(rng.integers(3, 16))
@@ -140,7 +139,7 @@ def test_greedy_identical_facts_tie_and_copy_from_the_lower_slot():
     # depend on where a row sits: the twin facts' weights must tie exactly
     words = [f"w{i}" for i in range(40)]
     vocab = corpus.Vocabulary(["<UNK>", "<SOS>", "<EOS>"] + words)
-    params = DecoderParams(ModelDims(), rng=np.random.default_rng(24))
+    params = DecoderParams(TrainConfig().dims(), rng=np.random.default_rng(24))
     rng = np.random.default_rng(25)
     picked_twin = 0
     for case in range(40):
@@ -149,8 +148,8 @@ def test_greedy_identical_facts_tie_and_copy_from_the_lower_slot():
         first, second = sorted(rng.choice(len(facts) + 1, 2, replace=False))
         facts.insert(second, facts[first])
         _, trace = decoder.greedy_decode(corpus.Entity("Q", facts, None), params, vocab,
-                                         EncoderConfig(), max_len=6,
-                                         copy_only=case % 2 == 1, return_trace=True)
+                                         TrainConfig(copy_only=case % 2 == 1), max_len=6,
+                                         return_trace=True)
         for token, alpha in trace:
             assert alpha[first] == alpha[second], (case, first, second)
             assert np.argmax(alpha) != second
@@ -167,7 +166,7 @@ def test_greedy_decode_rejects_a_fact_wider_than_the_copy_head():
     for seed in range(5):
         params = DecoderParams(dims, rng=np.random.default_rng(seed))
         with pytest.raises(ShapeError):
-            decoder.greedy_decode(entity, params, vocab, EncoderConfig(), max_len=20)
+            decoder.greedy_decode(entity, params, vocab, TrainConfig(), max_len=20)
 
 
 def test_positive_rescaling_keeps_argmax():
@@ -340,7 +339,7 @@ def routing_fixture():
 
 def test_greedy_decode_hand_routed_street():
     entity, params, vocab = routing_fixture()
-    tokens, trace = decoder.greedy_decode(entity, params, vocab, EncoderConfig(),
+    tokens, trace = decoder.greedy_decode(entity, params, vocab, TrainConfig(),
                                           max_len=8, return_trace=True)
     assert tokens == ["street"]
     assert [t for t, _ in trace] == ["street", "<EOS>"]
@@ -350,8 +349,8 @@ def test_greedy_decode_hand_routed_street():
 
 def test_greedy_decode_copy_only_never_uses_mean_slot():
     entity, params, vocab = routing_fixture()
-    tokens, trace = decoder.greedy_decode(entity, params, vocab, EncoderConfig(),
-                                          max_len=6, copy_only=True, return_trace=True)
+    tokens, trace = decoder.greedy_decode(entity, params, vocab, TrainConfig(copy_only=True),
+                                          max_len=6, return_trace=True)
     assert len(tokens) == 6  # no <EOS> path, runs to max_len
     for _, alpha in trace:
         assert alpha[1] == 0.0
@@ -373,7 +372,7 @@ def test_greedy_decode_respects_max_len_and_strips_specials():
         entity = random_entity(rng, vocab)
         for max_len in (1, 3, 7):
             tokens = decoder.greedy_decode(entity, params, vocab,
-                                           EncoderConfig(), max_len=max_len)
+                                           TrainConfig(), max_len=max_len)
             assert len(tokens) <= max_len
             assert "<UNK>" not in tokens
             assert "<EOS>" not in tokens
@@ -386,7 +385,7 @@ def test_greedy_decode_reselects_when_fact_has_no_words():
     vocab = corpus.Vocabulary(["<UNK>", "<SOS>", "<EOS>", "road"])
     entity = corpus.Entity("Q", [corpus.Fact.build("kind", "of the")], None)
     tokens, trace = decoder.greedy_decode(entity, params, vocab,
-                                          EncoderConfig(), max_len=4, return_trace=True)
+                                          TrainConfig(), max_len=4, return_trace=True)
     for _, alpha in trace:
         assert np.argmax(alpha) == 1  # mean slot; the wordless fact is masked
 
@@ -399,7 +398,7 @@ def test_greedy_trace_rows_cover_exactly_the_entitys_slots():
         params = DecoderParams(dims, rng=np.random.default_rng(40 + seed))
         entity = random_entity(rng, vocab)
         _, trace = decoder.greedy_decode(entity, params, vocab,
-                                         EncoderConfig(), max_len=6, return_trace=True)
+                                         TrainConfig(), max_len=6, return_trace=True)
         assert trace
         for _, alpha in trace:
             assert alpha.shape == (len(entity.facts) + 1,)
@@ -418,7 +417,6 @@ def test_greedy_decode_never_emits_rows_past_the_vocabulary():
     for seed in range(50):
         params = DecoderParams(config.dims(), rng=np.random.default_rng(seed))
         tokens, trace = decoder.greedy_decode(entity, params, vocab,
-                                              config.encoder_config(), config.max_decode_len,
-                                              return_trace=True)
+                                              config, return_trace=True)
         assert all(token in vocab for token, _ in trace)
         assert all(token in vocab for token in tokens)

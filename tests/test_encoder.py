@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factdesc import corpus, encoder
-from factdesc.encoder import EncoderConfig, positional_weights
+from factdesc.encoder import positional_weights
 from factdesc.errors import ConfigError
 from factdesc.tensor import Tape, Tensor, backward, concat, grad_check, mul, sum_all, tanh
+from factdesc.training import TrainConfig
 
 
 def test_positional_weights_single_word_column():
@@ -73,7 +74,7 @@ def test_encode_fact_single_word_positional():
     d = 4
     table = Tensor(np.zeros((len(vocab), d)), requires_grad=False)
     table.data[vocab.word_index("street")] = [1.0, 1.0, 1.0, 1.0]
-    cfg = EncoderConfig()
+    cfg = TrainConfig()
     fact = corpus.Fact(["street"], [], [])  # single-word phrase
     out = _encode_one(fact, table, vocab, cfg)
     assert np.allclose(out, [[0.25, 0.5, 0.75, 1.0]])
@@ -92,7 +93,7 @@ def test_encode_entity_takes_the_word_tables_width():
                         * ((1 - j / J) - (k / d) * (1 - 2 * j / J))
                         for j, word in enumerate(phrase, start=1)) for k in range(1, d + 1)]
         enc = encoder.encode_entity(corpus.Entity("Q1", [fact], None), table, vocab,
-                                    EncoderConfig())
+                                    TrainConfig())
         assert enc.embeddings.data.shape == (2, d)
         assert np.allclose(enc.embeddings.data, [expected, expected], rtol=1e-12, atol=1e-12)
 
@@ -103,7 +104,7 @@ def test_encode_fact_mean_pool_of_identical_embeddings():
     table = Tensor(np.zeros((len(vocab), d)))
     table.data[vocab.word_index("blue")] = [1.0, 2.0, 3.0]
     table.data[vocab.word_index("sky")] = [1.0, 2.0, 3.0]
-    cfg = EncoderConfig(encoding="mean_pool")
+    cfg = TrainConfig(encoding="mean_pool")
     fact = corpus.Fact(["blue"], ["sky"], ["sky"])
     out = _encode_one(fact, table, vocab, cfg)
     assert np.allclose(out, [[1.0, 2.0, 3.0]])
@@ -115,7 +116,7 @@ def test_encode_fact_mean_pool_opposite_embeddings_cancel():
     table = Tensor(np.zeros((len(vocab), d)))
     table.data[vocab.word_index("hot")] = [1.0, -2.0]
     table.data[vocab.word_index("cold")] = [-1.0, 2.0]
-    cfg = EncoderConfig(encoding="mean_pool")
+    cfg = TrainConfig(encoding="mean_pool")
     fact = corpus.Fact(["hot"], ["cold"], ["cold"])
     out = _encode_one(fact, table, vocab, cfg)
     assert np.allclose(out, [[0.0, 0.0]])
@@ -126,7 +127,7 @@ def test_encode_fact_unknown_words_use_unk_embedding():
     d = 2
     table = Tensor(np.zeros((len(vocab), d)))
     table.data[0] = [5.0, 5.0]  # <UNK>
-    cfg = EncoderConfig(encoding="mean_pool")
+    cfg = TrainConfig(encoding="mean_pool")
     fact = corpus.Fact(["mystery"], ["word"], ["word"])
     out = _encode_one(fact, table, vocab, cfg)
     assert np.allclose(out, [[5.0, 5.0]])
@@ -150,7 +151,7 @@ def _entity_setup(d=2):
 
 def test_encode_entity_mean_fact_is_elementwise_mean():
     vocab, table = _entity_setup()
-    cfg = EncoderConfig()
+    cfg = TrainConfig()
     enc = encoder.encode_entity(_two_fact_entity(), table, vocab, cfg)
     # single-word phrases in positional mode scale by l = [k/d] = [0.5, 1.0]
     f0, f1 = enc.embeddings.data[0], enc.embeddings.data[1]
@@ -160,7 +161,7 @@ def test_encode_entity_mean_fact_is_elementwise_mean():
 
 def test_encode_entity_single_fact_mean_equals_fact():
     vocab, table = _entity_setup()
-    cfg = EncoderConfig()
+    cfg = TrainConfig()
     entity = corpus.Entity("Q1", [corpus.Fact(["a"], [], [])], None)
     enc = encoder.encode_entity(entity, table, vocab, cfg)
     assert np.allclose(enc.embeddings.data[1], enc.embeddings.data[0])
@@ -168,7 +169,7 @@ def test_encode_entity_single_fact_mean_equals_fact():
 
 def test_encode_entity_one_slot_per_fact_plus_mean():
     vocab, table = _entity_setup()
-    cfg = EncoderConfig()
+    cfg = TrainConfig()
     enc = encoder.encode_entity(_two_fact_entity(), table, vocab, cfg)
     assert enc.embeddings.data.shape == (3, 2)
     assert enc.mask.tolist() == [True, True, True]
@@ -182,7 +183,7 @@ def test_encode_entity_one_slot_per_fact_plus_mean():
 
 def test_encode_entity_fixed_mean_is_shared_across_entities():
     vocab, table = _entity_setup()
-    cfg = EncoderConfig()
+    cfg = TrainConfig()
     rng = np.random.default_rng(0)
     frozen = Tensor(encoder.fixed_mean_vector(rng, 2))
     one = encoder.encode_entity(_two_fact_entity(), table, vocab, cfg, fixed_mean=frozen)
@@ -195,14 +196,14 @@ def test_encode_entity_fixed_mean_is_shared_across_entities():
 def test_encode_entity_rejects_zero_facts():
     vocab, table = _entity_setup()
     with pytest.raises(ConfigError):
-        encoder.encode_entity(corpus.Entity("Q", [], None), table, vocab, EncoderConfig())
+        encoder.encode_entity(corpus.Entity("Q", [], None), table, vocab, TrainConfig())
 
 
 def test_encode_entity_rejects_an_empty_phrase():
     vocab, table = _entity_setup()
     entity = corpus.Entity("Q", [corpus.Fact(["a"], [], []), corpus.Fact([], [], [])], None)
     with pytest.raises(ConfigError, match="empty phrase"):
-        encoder.encode_entity(entity, table, vocab, EncoderConfig())
+        encoder.encode_entity(entity, table, vocab, TrainConfig())
 
 
 def test_encode_entity_permutation_covariant():
@@ -210,7 +211,7 @@ def test_encode_entity_permutation_covariant():
     vocab = _vocab(["a", "b", "c", "d", "e"])
     d = 3
     table = Tensor(rng.normal(size=(len(vocab), d)))
-    cfg = EncoderConfig()
+    cfg = TrainConfig()
     facts = [corpus.Fact.build(p, v) for p, v in
              [("kind", "a b"), ("place", "c"), ("name", "d e a")]]
     entity = corpus.Entity("Q", facts, None)
@@ -266,7 +267,7 @@ def test_encode_entity_equals_per_fact_oracle(seed, n_known, batch, dim, encodin
     rng = np.random.default_rng(seed)
     vocab = _vocab(["a", "b", "c", "d", "e", "f", "g", "h"][:n_known])
     table = Tensor(rng.normal(size=(len(vocab), dim)), requires_grad=True)
-    cfg = EncoderConfig(encoding=encoding, max_phrase_len=max_phrase_len)
+    cfg = TrainConfig(encoding=encoding, max_factual_words=max_phrase_len)
     entities = [corpus.Entity(f"Q{i}", [corpus.Fact(p, v, []) for p, v in phrases], None)
                 for i, phrases in enumerate(batch)]
     frozen = Tensor(encoder.fixed_mean_vector(rng, dim)) if mean_fact == "fixed_random" else None
@@ -311,7 +312,7 @@ def test_encode_entities_gradient_matches_finite_differences(mean_fact):
     coeffs = Tensor(rng.normal(size=(6 + 3, 3)))
 
     def f(params):
-        rows = encoder.encode_entities(entities, params[0], vocab, EncoderConfig(),
+        rows = encoder.encode_entities(entities, params[0], vocab, TrainConfig(),
                                        fixed_mean=frozen)
         return sum_all(mul(tanh(concat(rows)), coeffs))
 
@@ -332,7 +333,7 @@ def test_identical_phrases_give_bit_equal_rows():
     for dim in (7, 64, 100):
         table = Tensor(rng.normal(size=(len(vocab), dim)))
         for encoding in encoder.ENCODING_MODES:
-            cfg = EncoderConfig(encoding=encoding)
+            cfg = TrainConfig(encoding=encoding)
             rows = encoder.encode_entity(entity, table, vocab, cfg).embeddings.data
             for fact in (long, mid, short):
                 same = [i for i, f in enumerate(facts) if f is fact]

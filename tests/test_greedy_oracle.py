@@ -38,8 +38,7 @@ def replay(entity, params, vocab, config, max_len, tokens, trace):
     """Check one decode step by step against the layer functions, each
     called on a batch of one entity and one step."""
     dims = params.dims
-    enc = encode_entity(entity, params.word_emb, vocab, config.encoder_config(),
-                        fixed_mean=params.fixed_mean())
+    enc = encode_entity(entity, params.word_emb, vocab, config, fixed_mean=params.fixed_mean())
     mean_slot = len(entity.facts)
     keys = attention_keys(enc.embeddings, params)
     mask = enc.mask[None].copy()  # (1, S)
@@ -109,7 +108,6 @@ def test_greedy_decode_equals_the_layer_functions(seed, copy_only, mean_fact, en
         for _ in range(repeated):
             facts.insert(int(rng.integers(len(facts) + 1)), facts[int(rng.integers(len(facts)))])
         entity = corpus.Entity(entity.id, facts, None)
-        tokens, trace = greedy_decode(entity, params, vocab, config.encoder_config(), max_len,
-                                      copy_only=copy_only, return_trace=True)
+        tokens, trace = greedy_decode(entity, params, vocab, config, max_len, return_trace=True)
         assert len(trace) <= max_len
         replay(entity, params, vocab, config, max_len, tokens, trace)

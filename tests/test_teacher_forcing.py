@@ -48,8 +48,7 @@ def _gru_step(x, h, p):
 
 def per_token_loss(entity, aligned, params, vocab, config):
     dims = params.dims
-    enc = encode_entity(entity, params.word_emb, vocab, config.encoder_config(),
-                        fixed_mean=params.fixed_mean())
+    enc = encode_entity(entity, params.word_emb, vocab, config, fixed_mean=params.fixed_mean())
     mean_slot = len(entity.facts)
     keys = attention_keys(enc.embeddings, params)
     mask = enc.mask[None].copy()  # (1, S)

@@ -292,9 +292,8 @@ def _adam_reference(params, grads, state):
         p.data -= scale * m / (np.sqrt(v / bc2) + state.epsilon)
 
 
-def test_adam_equals_the_formula_bit_for_bit():
+def _adam_matches_the_formula(shapes):
     rng = np.random.default_rng(15)
-    shapes = [(7, 5), (5,), (1, 3), (40,)]
     ours = [T.Tensor(rng.normal(size=s)) for s in shapes]
     theirs = [T.Tensor(p.data.copy()) for p in ours]
     our_state, their_state = T.AdamState(0.01), T.AdamState(0.01)
@@ -308,6 +307,18 @@ def test_adam_equals_the_formula_bit_for_bit():
             assert np.array_equal(a.data, b.data)
         for a, b in zip(our_state.m + our_state.v, their_state.m + their_state.v):
             assert np.array_equal(a, b)
+
+
+def test_adam_equals_the_formula_bit_for_bit():
+    _adam_matches_the_formula([(7, 5), (5,), (1, 3), (40,)])  # each update in one slice
+
+
+@pytest.mark.parametrize("shapes", [
+    [(1003, 100), (5,)],  # a sample1k word table: slices of 163 rows, the last one cut short
+    [(3, 20000)],  # rows wider than the 16,384-value slice: one row a slice
+], ids=["163-row-slices", "one-row-slices"])
+def test_adam_row_slices_equal_the_formula_bit_for_bit(shapes):
+    _adam_matches_the_formula(shapes)
 
 
 def test_grad_check_square():

@@ -49,11 +49,25 @@ def test_config_rejects_nonpositive_values():
 @pytest.mark.parametrize("field, value", [
     ("grad_clip", 0.0), ("grad_clip", -1.0), ("grad_clip", float("nan")),
     ("grad_clip", float("inf")), ("learning_rate", float("nan")),
-    ("learning_rate", float("inf")),
+    ("learning_rate", float("inf")), ("seed", -1),
 ])
 def test_config_rejects_nonpositive_or_nonfinite_floats(field, value):
     with pytest.raises(ConfigError, match=field):
         TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["encoding", "mean_fact", "vocab_source"])
+def test_config_rejects_unknown_modes(field):
+    with pytest.raises(ConfigError, match=f"unknown {field} mode 'bogus'"):
+        TrainConfig(**{field: "bogus"})
+
+
+def test_max_phrase_len_is_max_factual_words_and_never_stored():
+    config = TrainConfig(max_factual_words=7)
+    assert config.max_phrase_len == 7
+    assert "max_phrase_len" not in config.to_dict()
+    with pytest.raises(ConfigError, match="max_phrase_len"):
+        TrainConfig.from_dict({"max_phrase_len": 7})
 
 
 def test_nonfinite_minibatch_loss_names_epoch_and_entity(monkeypatch):
