@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 
 from . import corpus, metrics, training
@@ -101,6 +102,10 @@ def _read_text_rows(path):
 
 def _cmd_train(args):
     config = _load_config(args.config)
+    existed = os.path.exists(args.out)
+    open(args.out, "ab").close()  # an --out that saving cannot open fails here, before training
+    if not existed:
+        os.remove(args.out)
     print(f"seed: {config.seed}")
     checkpoint = training.train(_load_entities(args.train, config),
                                 _load_entities(args.dev, config), config)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import EOS, UNK
 from .encoder import encode_entity, fixed_mean_vector
-from .errors import ConfigError, EmptyFactError, ShapeError
+from .errors import EmptyFactError, ShapeError
 from .tensor import (
     Tensor,
     additive_energies,
@@ -106,7 +106,8 @@ class DecoderParams:
     """Named tensor container for the whole model.
 
     Tensor order is fixed by :func:`param_shapes`, which keeps
-    checkpoints, Adam state, and parameter counting consistent.
+    checkpoints, Adam state, and parameter counting consistent.  ``arrays``
+    are used as given; ``load_checkpoint`` checks the layout before.
     """
 
     def __init__(self, dims, mean_fact_mode="mean", rng=None, arrays=None):
@@ -115,15 +116,7 @@ class DecoderParams:
         self._names = []
         rng = rng if rng is not None else np.random.default_rng(0)
         for name, shape, kind in param_shapes(dims, mean_fact_mode):
-            if arrays is None:
-                data = _init_array(rng, shape, kind)
-            else:
-                if name not in arrays:
-                    raise ConfigError(f"missing tensor {name!r}")
-                data = arrays[name]
-                if tuple(data.shape) != tuple(shape):
-                    raise ShapeError(f"tensor {name!r} has shape {tuple(data.shape)}, "
-                                     f"expected {tuple(shape)}")
+            data = _init_array(rng, shape, kind) if arrays is None else arrays[name]
             tensor = Tensor(data, requires_grad=(kind != "frozen"), name=name)
             setattr(self, name, tensor)
             self._names.append(name)

@@ -218,17 +218,14 @@ def cider(pairs):
 def evaluate_corpus(candidates, references):
     """Score candidate descriptions against references matched by id.
 
-    Both arguments map entity id -> token list.  Id mismatches raise
-    with the missing ids listed.
+    Both arguments map entity id -> token list.  Id mismatches and
+    references without tokens raise with the ids listed.
     """
-    missing_refs = sorted(set(candidates) - set(references))
-    missing_cands = sorted(set(references) - set(candidates))
-    if missing_refs or missing_cands:
-        parts = []
-        if missing_refs:
-            parts.append(f"ids without references: {', '.join(missing_refs)}")
-        if missing_cands:
-            parts.append(f"ids without candidates: {', '.join(missing_cands)}")
+    problems = [("ids without references", set(candidates) - set(references)),
+                ("ids without candidates", set(references) - set(candidates)),
+                ("references without tokens", {key for key, ref in references.items() if not ref})]
+    parts = [f"{what}: {', '.join(sorted(ids))}" for what, ids in problems if ids]
+    if parts:
         raise DataError("; ".join(parts))
     if not candidates:
         raise DataError("no evaluation pairs")

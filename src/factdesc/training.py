@@ -12,7 +12,7 @@ replays it once; ``step_loss`` is the same loss for a batch of one.  One
 
 Checkpoint files are binary: magic ``FKS1``, a little-endian uint32
 manifest length, a UTF-8 JSON manifest (version, config, vocabulary,
-metadata, ordered tensor entries with byte offsets), then the tensors'
+metadata, and the tensor entries the config lays out), then the tensors'
 row-major little-endian float32 payloads back to back.
 """
 
@@ -348,31 +348,45 @@ def format_param_table(config):
     return "\n".join(lines)
 
 
+def _tensor_entries(config):
+    """The config's manifest tensor entries, back to back from byte 0, and the payload size."""
+    entries, offset = [], 0
+    for name, shape, _ in param_shapes(config.dims(), config.mean_fact):
+        entries.append({"name": name, "shape": list(shape), "dtype": "f32", "offset": offset})
+        offset += prod(shape) * 4
+    return entries, offset
+
+
+def _check_layout(path, stored, expected):
+    """Raise unless ``stored`` is the tensor layout, naming the first entry that differs."""
+    i, got = 0, repr(stored)
+    if isinstance(stored, list):
+        # compared as JSON text, a shape or offset of 4.0 or true is not 4 or 1
+        texts = [[json.dumps(e, sort_keys=True) for e in side] for side in (stored, expected)]
+        if texts[0] == texts[1]:
+            return
+        i = next((i for i, (a, b) in enumerate(zip(*texts)) if a != b), min(map(len, texts)))
+        got = repr(stored[i]) if i < len(stored) else "missing"
+    want = repr(expected[i]) if i < len(expected) else "no such entry"
+    raise CheckpointError(f"{path}: tensor entry {i} is {got}, expected {want}")
+
+
 def save_checkpoint(checkpoint, path):
-    """Serialize to the FKS1 container; float32 payload, JSON manifest."""
-    entries = []
-    payloads = []
-    offset = 0
-    for name, t in checkpoint.params.named_tensors():
-        buf = t.data.astype("<f4").tobytes(order="C")
-        entries.append({"name": name, "shape": list(t.data.shape),
-                        "dtype": "f32", "offset": offset})
-        payloads.append(buf)
-        offset += len(buf)
+    """Serialize to the FKS1 container: the config's tensor layout, then float32 payloads."""
     manifest = {
         "version": CHECKPOINT_VERSION,
         "config": checkpoint.config.to_dict(),
         "vocab": checkpoint.vocab.words,
         "meta": checkpoint.meta,
-        "tensors": entries,
+        "tensors": _tensor_entries(checkpoint.config)[0],
     }
     blob = json.dumps(manifest, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as handle:
         handle.write(CHECKPOINT_MAGIC)
         handle.write(struct.pack("<I", len(blob)))
         handle.write(blob)
-        for buf in payloads:
-            handle.write(buf)
+        for _, t in checkpoint.params.named_tensors():
+            handle.write(t.data.astype("<f4").tobytes())
 
 
 def load_checkpoint(path):
@@ -380,10 +394,9 @@ def load_checkpoint(path):
 
     Rejects bad magic, version mismatches, malformed manifests, a
     vocabulary longer than the output rows, that repeats a word or does not
-    start with the specials, tensor names the config does not declare or
-    that repeat, dtypes other than ``f32``, payloads that are not back to
-    back, run past or short of the payload or are not finite, and shapes
-    that disagree.
+    start with the specials, a tensor list other than the config's layout
+    (naming the first entry that differs), a payload of another length, and
+    non-finite tensors.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
@@ -412,35 +425,16 @@ def load_checkpoint(path):
             or words[:3] != [UNK, SOS, EOS] or len(set(words)) != len(words) or len(words) > rows):
         raise CheckpointError(f"{path}: vocabulary is not a list of at most {rows} distinct "
                               f"words that starts {UNK}, {SOS}, {EOS}")
+    expected, n_bytes = _tensor_entries(config)
+    _check_layout(path, manifest["tensors"], expected)
     payload = raw[8 + manifest_len:]
-    known = {name for name, _, _ in param_shapes(config.dims(), config.mean_fact)}
+    if len(payload) != n_bytes:
+        raise CheckpointError(f"{path}: payload holds {len(payload)} bytes, not {n_bytes}")
+    values = np.frombuffer(payload, "<f4").astype(np.float64)
     arrays = {}
-    declared = 0
-    try:
-        for entry in manifest["tensors"]:
-            name, shape, offset = entry["name"], entry["shape"], entry["offset"]
-            if name not in known or name in arrays:
-                raise CheckpointError(f"{path}: tensor {name!r} is "
-                                      f"{'repeated' if name in arrays else 'not in the model'}")
-            if entry["dtype"] != "f32":
-                raise CheckpointError(f"{path}: tensor {name!r} has dtype {entry['dtype']!r}, "
-                                      "not f32")
-            n_bytes = prod(shape) * 4
-            if not 0 <= offset <= len(payload) - n_bytes:
-                raise CheckpointError(f"{path}: tensor {name!r} at byte {offset} runs "
-                                      f"past the {len(payload)}-byte payload")
-            if offset != declared:
-                raise CheckpointError(f"{path}: tensor {name!r} at byte {offset}, not at byte "
-                                      f"{declared} where the tensors before it end")
-            chunk = payload[offset:offset + n_bytes]
-            arrays[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape).astype(np.float64)
-            if not np.isfinite(arrays[name]).all():
-                raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
-            declared += n_bytes
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: malformed tensor entry: {exc!r}") from exc
-    if len(payload) != declared:
-        raise CheckpointError(f"{path}: payload holds {len(payload)} bytes, "
-                              f"manifest declares {declared}")
+    for entry, chunk in zip(expected, np.split(values, [e["offset"] // 4 for e in expected[1:]])):
+        arrays[entry["name"]] = chunk.reshape(entry["shape"])
+        if not np.isfinite(chunk).all():
+            raise CheckpointError(f"{path}: tensor {entry['name']!r} holds non-finite values")
     params = DecoderParams(config.dims(), config.mean_fact, arrays=arrays)
     return Checkpoint(params, config, Vocabulary(words), manifest["meta"])

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from factdesc import cli, toycorpus, training
+from factdesc.errors import DataError
 from factdesc.training import TrainConfig
+
+from .test_training import SAMPLE1K_CHECKPOINT
 
 
 def write_config(tmp_path, **kw):
@@ -150,6 +153,18 @@ def test_evaluate_non_scalar_id_exits_2_with_its_line(tmp_path, capsys, bad_id):
     assert f"{cands}:2: " in err and "id must be a string or a number" in err
 
 
+def test_evaluate_reference_without_tokens_exits_2_naming_it(tmp_path, capsys):
+    cands, refs = tmp_path / "c.jsonl", tmp_path / "r.jsonl"
+    cands.write_text(json.dumps({"id": "a", "text": "x"}) + "\n"
+                     + json.dumps({"id": "b", "text": "y"}) + "\n")
+    refs.write_text(json.dumps({"id": "a", "text": "x"}) + "\n"
+                    + json.dumps({"id": "b", "text": "..."}) + "\n")
+    assert cli.run(["evaluate", "--candidates", str(cands), "--references", str(refs),
+                    "--out", str(tmp_path / "report.json")]) == 2
+    assert "references without tokens: b" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_evaluate_numeric_ids_match_their_text(tmp_path):
     cands, refs = tmp_path / "c.jsonl", tmp_path / "r.jsonl"
     cands.write_text(json.dumps({"id": 7, "text": "x y"}) + "\n"
@@ -202,6 +217,39 @@ def test_train_negative_seed_exits_2(trained, tmp_path, capsys):
     assert cli.run(["train", "--train", str(train_path), "--dev", str(dev_path),
                     "--config", str(write_config(tmp_path, seed=-1)), "--out", str(out)]) == 2
     assert "seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["missing-directory", "directory"])
+def test_train_unopenable_out_exits_2_before_training(trained, tmp_path, capsys, monkeypatch,
+                                                       case):
+    _, train_path, dev_path, ckpt = trained
+    calls = []
+
+    def recording_train(*args):
+        calls.append(args)
+        return training.load_checkpoint(ckpt)
+
+    monkeypatch.setattr(training, "train", recording_train)
+    config = write_config(tmp_path)
+    out = tmp_path / "missing" / "m.fks" if case == "missing-directory" else tmp_path
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.run(["train", "--train", str(train_path), "--dev", str(dev_path),
+                    "--config", str(config), "--out", str(out)]) == 2
+    assert calls == [] and str(out) in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_train_that_fails_leaves_no_out_file(trained, tmp_path, monkeypatch):
+    _, train_path, dev_path, _ = trained
+
+    def failing_train(*args):
+        raise DataError("no usable entities")
+
+    monkeypatch.setattr(training, "train", failing_train)
+    out = tmp_path / "m.fks"
+    assert cli.run(["train", "--train", str(train_path), "--dev", str(dev_path),
+                    "--config", str(write_config(tmp_path)), "--out", str(out)]) == 2
     assert not out.exists()
 
 
@@ -300,14 +348,18 @@ def test_generate_manifest_missing_key_exits_2(trained, tmp_path, capsys, key):
 
 
 def test_generate_tensor_past_payload_exits_2(trained, tmp_path, capsys):
+    shifted = {}
+
     def shift_last(manifest):
         manifest["tensors"][-1]["offset"] += 4
+        shifted.update(manifest["tensors"][-1])
         return manifest
 
     bad = tmp_path / "bad.fks"
     _rewrite_manifest(trained[3], bad, shift_last)
     code, err = _generate_exit(bad, tmp_path, capsys)
-    assert code == 2 and "runs past" in err
+    # the stored entry, wrong offset and all, is named beside the one the config lays out
+    assert code == 2 and shifted["name"] == "copy_out_b" and repr(shifted) in err
 
 
 @pytest.mark.parametrize("case", ["unknown", "repeated", "dtype"])
@@ -316,6 +368,8 @@ def test_generate_malformed_tensor_entry_exits_2(trained, tmp_path, capsys, case
     raw = trained[3].read_bytes()
     payload = len(raw) - 8 - struct.unpack("<I", raw[4:8])[0]
 
+    wrong = {}
+
     def edit(manifest):
         entries = manifest["tensors"]
         if case == "dtype":
@@ -323,14 +377,40 @@ def test_generate_malformed_tensor_entry_exits_2(trained, tmp_path, capsys, case
         else:
             name = "extra_w" if case == "unknown" else "attn_energy_b"
             entries.append({"name": name, "shape": [1], "dtype": "f32", "offset": payload})
+        wrong.update(entries[0] if case == "dtype" else entries[-1])
         return manifest
 
     bad = tmp_path / "bad.fks"
     _rewrite_manifest(trained[3], bad, edit,
                       b"" if case == "dtype" else np.ones(1, dtype="<f4").tobytes())
     code, err = _generate_exit(bad, tmp_path, capsys)
-    assert code == 2 and {"unknown": "not in the model", "repeated": "repeated",
-                          "dtype": "f64"}[case] in err
+    assert code == 2 and repr(wrong) in err
+    assert {"unknown": "'extra_w'", "repeated": "'attn_energy_b'", "dtype": "'f64'"}[case] in err
+
+
+@pytest.mark.parametrize("case", ["float-offset", "float-shape", "false-offset", "extra-key"])
+def test_generate_entry_equal_only_in_python_exits_2(trained, tmp_path, capsys, case):
+    # 4.0 == 4 and False == 0 in Python, so the layout is compared as JSON text; a float
+    # never sliced the payload, but a false first offset and an extra key used to load
+    wrong = {}
+
+    def edit(manifest):
+        entry = manifest["tensors"][0 if case == "false-offset" else 1]
+        if case == "float-offset":
+            entry["offset"] = float(entry["offset"])
+        elif case == "float-shape":
+            entry["shape"] = [float(n) for n in entry["shape"]]
+        elif case == "false-offset":
+            entry["offset"] = False
+        else:
+            entry["note"] = "x"
+        wrong.update(entry)
+        return manifest
+
+    bad = tmp_path / "bad.fks"
+    _rewrite_manifest(trained[3], bad, edit)
+    code, err = _generate_exit(bad, tmp_path, capsys)
+    assert code == 2 and repr(wrong) in err
 
 
 def test_generate_overlapping_tensor_payloads_exit_2(trained, tmp_path, capsys):
@@ -344,6 +424,26 @@ def test_generate_overlapping_tensor_payloads_exit_2(trained, tmp_path, capsys):
     _rewrite_manifest(trained[3], bad, overlap)
     code, err = _generate_exit(bad, tmp_path, capsys)
     assert code == 2 and "'gru_update_b'" in err
+
+
+def test_generate_reordered_tensor_entries_exit_2(tmp_path, capsys):
+    # word_emb moved last, its payload with it: every tensor is still where its entry says,
+    # but the list is not the layout the config gives, which is the only one saving writes
+    raw = SAMPLE1K_CHECKPOINT.read_bytes()
+    (length,) = struct.unpack("<I", raw[4:8])
+    manifest, payload = json.loads(raw[8:8 + length]), raw[8 + length:]
+    first, *rest = manifest["tensors"]
+    assert first["name"] == "word_emb" and first["offset"] == 0
+    size = 4 * first["shape"][0] * first["shape"][1]
+    for entry in rest:
+        entry["offset"] -= size
+    first["offset"] = len(payload) - size
+    manifest["tensors"] = rest + [first]
+    bad = tmp_path / "bad.fks"
+    _rewrite_manifest(SAMPLE1K_CHECKPOINT, bad, lambda m: manifest)
+    bad.write_bytes(bad.read_bytes()[:-len(payload)] + payload[size:] + payload[:size])
+    code, err = _generate_exit(bad, tmp_path, capsys)
+    assert code == 2 and "tensor entry 0" in err and repr(rest[0]) in err
 
 
 @pytest.mark.parametrize("case", ["specials", "repeated"])

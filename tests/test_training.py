@@ -1,5 +1,7 @@
 import json
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +9,7 @@ import pytest
 from factdesc import corpus, toycorpus, training
 from factdesc.alignment import align_description
 from factdesc.decoder import DecoderParams
-from factdesc.errors import (CheckpointError, ConfigError, DataError, ShapeError,
-                             TrainingDivergenceError)
+from factdesc.errors import CheckpointError, ConfigError, DataError, TrainingDivergenceError
 from factdesc.tensor import Tape, Tensor, backward, grad_check
 from factdesc.training import Checkpoint, TrainConfig
 
@@ -302,9 +303,40 @@ def test_format_param_table_lists_total():
     assert "376,364" in table
 
 
-def _trained_checkpoint(tmp_path):
-    entities, config = load_toy(8)
+SAMPLE1K_CHECKPOINT = Path(__file__).resolve().parent.parent / "perfbench" / "sample1k.fks"
+
+
+def _trained_checkpoint(tmp_path, **cfg_kw):
+    entities, config = load_toy(8, **cfg_kw)
     return training.train(entities, entities[:2], config), tmp_path / "model.fks"
+
+
+def _read_each_entry(path):
+    """Every tensor of an FKS1 file as float64, read entry by entry from its own offset."""
+    raw = path.read_bytes()
+    (length,) = struct.unpack("<I", raw[4:8])
+    payload = raw[8 + length:]
+    arrays = {}
+    for entry in json.loads(raw[8:8 + length])["tensors"]:
+        chunk = np.frombuffer(payload, "<f4", math.prod(entry["shape"]), entry["offset"])
+        arrays[entry["name"]] = chunk.reshape(entry["shape"]).astype(np.float64)
+    return arrays
+
+
+@pytest.mark.parametrize("source", ["sample1k", "mean", "fixed_random"])
+def test_loaded_tensors_equal_a_per_entry_read(tmp_path, source):
+    # the loader reads the whole payload at once; each tensor must still be its own entry's bytes
+    path = SAMPLE1K_CHECKPOINT
+    if source != "sample1k":
+        checkpoint, path = _trained_checkpoint(tmp_path, mean_fact=source)
+        training.save_checkpoint(checkpoint, path)
+    loaded = training.load_checkpoint(path)
+    expected = _read_each_entry(path)
+    assert [name for name, _ in loaded.params.named_tensors()] == list(expected)
+    for name, tensor in loaded.params.named_tensors():
+        assert tensor.data.dtype == np.float64 and tensor.data.shape == expected[name].shape
+        assert tensor.data.tobytes() == expected[name].tobytes(), name
+    assert (loaded.params.fixed_mean() is None) == (source != "fixed_random")
 
 
 def test_checkpoint_round_trip_byte_identical(tmp_path):
@@ -337,8 +369,6 @@ def test_checkpoint_rejects_truncated_payload(tmp_path):
 
 
 def test_checkpoint_rejects_version_mismatch(tmp_path):
-    import struct
-
     checkpoint, path = _trained_checkpoint(tmp_path)
     training.save_checkpoint(checkpoint, path)
     raw = path.read_bytes()
@@ -353,8 +383,6 @@ def test_checkpoint_rejects_version_mismatch(tmp_path):
 
 
 def test_checkpoint_rejects_vocab_size_mismatch(tmp_path):
-    import struct
-
     checkpoint, path = _trained_checkpoint(tmp_path)
     training.save_checkpoint(checkpoint, path)
     raw = path.read_bytes()
@@ -363,6 +391,6 @@ def test_checkpoint_rejects_vocab_size_mismatch(tmp_path):
     manifest["config"]["vocab_size"] = 999  # payload no longer matches
     blob = json.dumps(manifest, ensure_ascii=False, separators=(",", ":")).encode()
     path.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + mlen:])
-    with pytest.raises((CheckpointError, ShapeError)) as exc:
+    with pytest.raises(CheckpointError) as exc:
         training.load_checkpoint(path)
-    assert "word_emb" in str(exc.value) or "payload" in str(exc.value)
+    assert "tensor entry 0" in str(exc.value) and "[1002, 6]" in str(exc.value)
