@@ -26,6 +26,7 @@ from .corpus import (
     tokenize,
 )
 from .decoder import (
+    DecodePlan,
     DecoderParams,
     ModelDims,
     attention_keys,

@@ -6,7 +6,9 @@ at a position inside that fact's factual words; picking the mean-fact
 slot routes it through the vocabulary softmax instead.  The GRU input
 concatenates the selected fact embedding with feedback from the
 previous step: the emitted vocabulary word's embedding or the copied
-position's one-hot, never both.
+position's one-hot, never both.  Training runs the layer functions below on
+whole minibatches; greedy decoding regroups their arithmetic on plain arrays
+and reads a :class:`DecodePlan` of the weight products no entity changes.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from .tensor import (
     relu,
     reshape,
 )
+
+GATES = ("update", "reset", "cand")  # the GRU's, in parameter order
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,7 @@ def param_shapes(dims, mean_fact_mode="mean"):
         ("attn_energy_w", (1, dims.attn_dim), "weight"),
         ("attn_energy_b", (1,), "bias"),
     ]
-    for gate in ("update", "reset", "cand"):
+    for gate in GATES:
         shapes += [
             (f"gru_{gate}_x", (H, dims.gru_input), "weight"),
             (f"gru_{gate}_h", (H, H), "weight"),
@@ -209,8 +213,41 @@ def copy_logits(f, h, n_words, params):
     return masked_softmax(scores, np.arange(width) < counts[:, None])
 
 
-def greedy_decode(entity, params, vocab, config, max_len=None, return_trace=False):
-    """Greedy generation for one entity under the model's ``TrainConfig``, on plain arrays.
+class DecodePlan:
+    """The arrays greedy decoding reads, derived once from one model's ``params``
+    (kept for the encoder).  A snapshot: build a new one after the parameters change.
+
+    ``slot_w`` (d, a + 3H) holds the key columns of ``attn_hidden_w``, then each
+    gate's fact columns; ``state_w`` (a + 2H, H) the query columns, ``gru_update_h``
+    and ``gru_reset_h``.  ``word_feedback`` (V, 3H) and ``copy_feedback``
+    (copy_width, 3H) hold the gate inputs a word or a copied position feeds back."""
+
+    def __init__(self, params):
+        d, p = params.dims.embed_dim, {name: t.data for name, t in params.named_tensors()}
+        gate_x = [p[f"gru_{g}_x"] for g in GATES]
+        self.params = params
+        self.slot_w = np.concatenate([w[:, :d] for w in [p["attn_hidden_w"], *gate_x]]).T.copy()
+        self.slot_b = np.concatenate([p["attn_hidden_b"]] + [p[f"gru_{g}_b"] for g in GATES])
+        self.state_w = np.concatenate([p["attn_hidden_w"][:, d:], p["gru_update_h"],
+                                       p["gru_reset_h"]])
+        self.cand_h = p["gru_cand_h"]
+        self.energy_w, self.energy_b = p["attn_energy_w"][0], p["attn_energy_b"]
+        self.word_feedback = p["word_emb"] @ np.concatenate([w[:, d:2 * d] for w in gate_x]).T
+        self.copy_feedback = np.concatenate([w[:, 2 * d:] for w in gate_x]).T.copy()
+        layers = ("hidden_w", "hidden_b", "out_w", "out_b")
+        self.vocab_head = [p[f"vocab_{layer}"] for layer in layers]
+        self.copy_head = [p[f"copy_{layer}"] for layer in layers]
+
+
+def _head_argmax(head, x, rows):
+    """The argmax of a head (:func:`vocab_logits`, :func:`copy_logits`) over its first ``rows``."""
+    hidden_w, hidden_b, out_w, out_b = head
+    hidden = np.maximum(hidden_w @ x + hidden_b, 0.0)
+    return int((out_w[:rows] @ hidden + out_b[:rows]).argmax())
+
+
+def greedy_decode(entity, plan, vocab, config, max_len=None, return_trace=False):
+    """Greedy generation for one entity from the model's plan and ``TrainConfig``.
 
     Each step takes the argmax slot: one of the entity's facts, or the mean
     fact at slot ``len(entity.facts)``.  A fact with no factual words that
@@ -219,60 +256,46 @@ def greedy_decode(entity, params, vocab, config, max_len=None, return_trace=Fals
     ``<UNK>`` is stripped from the returned tokens (the trace keeps every
     step, with one attention weight per slot).  The vocabulary head picks
     among the ``len(vocab)`` words only.  With ``config.copy_only`` the
-    mean-fact slot is never selectable.  The layers above, regrouped: each
-    slot passes through the GRU's fact columns once, and a copy feeds back
-    its position's column, not a one-hot.
+    mean-fact slot is never selectable.  The layers above, regrouped on plain
+    arrays: one product per entity gives the keys and all slots' gate inputs, one
+    per step the query and gate state terms; feedback is a row of the plan.
     """
+    params, dims = plan.params, plan.params.dims
     enc = encode_entity(entity, params.word_emb, vocab, config, fixed_mean=params.fixed_mean())
     slots = enc.embeddings.data
-    keys = attention_keys(enc.embeddings, params).data
+    a, H = dims.attn_dim, dims.hidden_dim
+    projected = slots @ plan.slot_w + plan.slot_b  # (S, a + 3H)
+    keys, slot_in = projected[:, :a], projected[:, a:]
     mask, mean_slot = enc.mask.copy(), len(entity.facts)
-    if config.copy_only:
-        mask[mean_slot] = False
-    d, n_vocab = params.dims.embed_dim, len(vocab)
-    p = {name: t.data for name, t in params.named_tensors()}
-    query_w = p["attn_hidden_w"][:, d:]
-    energy_w, energy_b = p["attn_energy_w"][0], p["attn_energy_b"]
-    gate_x = [p[f"gru_{g}_x"] for g in ("update", "reset", "cand")]
-    slot_in = [slots @ w[:, :d].T + p[f"gru_{g}_b"]  # (S, H) per gate
-               for w, g in zip(gate_x, ("update", "reset", "cand"))]
-    feedback = [0.0, 0.0, 0.0]
-    h = np.zeros(params.dims.hidden_dim)
-    trace = []
+    mask[mean_slot] = all_live = not config.copy_only  # while all are live, nothing is masked
+    h, feedback, trace = np.zeros(H), np.zeros(3 * H), []
     with np.errstate(over="ignore"):  # a saturated gate, as in ``gru``
         for _ in range(config.max_decode_len if max_len is None else max_len):
-            hidden = keys + h @ query_w.T
-            energies = (np.tanh(hidden, out=hidden) * energy_w).sum(axis=1) + energy_b
-            while mask.any():
-                masked = np.where(mask, energies, -np.inf)
+            state = plan.state_w @ h  # [query; update and reset state terms]
+            hidden = keys + state[:a]
+            energies = (np.tanh(hidden, out=hidden) * plan.energy_w).sum(axis=1) + plan.energy_b
+            while all_live or mask.any():
+                masked = energies if all_live else np.where(mask, energies, -np.inf)
                 alpha = np.exp(masked - masked.max())
                 alpha /= alpha.sum()
                 slot = int(alpha.argmax())  # ties toward the lowest slot
                 if slot == mean_slot or entity.facts[slot].factual_words:
                     break
-                mask[slot] = False
+                mask[slot] = all_live = False
             else:
                 break
-            h = gru_step(*(s[slot] + f for s, f in zip(slot_in, feedback)), h,
-                         p["gru_update_h"], p["gru_reset_h"], p["gru_cand_h"])[3]
+            pre = slot_in[slot] + feedback
+            h = gru_step(pre[:2 * H] + state[a:], pre[2 * H:], h, plan.cand_h)[3]
             if slot == mean_slot:
-                mixed = np.concatenate([alpha @ slots, h])
-                head = np.maximum(p["vocab_hidden_w"] @ mixed + p["vocab_hidden_b"], 0.0)
-                word = int((p["vocab_out_w"][:n_vocab] @ head + p["vocab_out_b"][:n_vocab])
-                           .argmax())
-                token = vocab.word(word)
-                if token != EOS:
-                    feedback = [w[:, d:2 * d] @ p["word_emb"][word] for w in gate_x]
+                word = _head_argmax(plan.vocab_head, np.concatenate([alpha @ slots, h]),
+                                    len(vocab))
+                token, feedback = vocab.word(word), plan.word_feedback[word]
             else:
-                n_words = len(entity.facts[slot].factual_words)
-                if n_words > params.dims.copy_width:
-                    raise ShapeError(f"n_words {n_words} outside 1..{params.dims.copy_width}")
-                mixed = np.concatenate([slots[slot], h])
-                head = np.maximum(p["copy_hidden_w"] @ mixed + p["copy_hidden_b"], 0.0)
-                pos = int((p["copy_out_w"][:n_words] @ head + p["copy_out_b"][:n_words])
-                          .argmax())
-                token = entity.facts[slot].factual_words[pos]  # lowercase, never <EOS>
-                feedback = [w[:, 2 * d + pos] for w in gate_x]
+                words = entity.facts[slot].factual_words
+                if len(words) > dims.copy_width:
+                    raise ShapeError(f"n_words {len(words)} outside 1..{dims.copy_width}")
+                pos = _head_argmax(plan.copy_head, np.concatenate([slots[slot], h]), len(words))
+                token, feedback = words[pos], plan.copy_feedback[pos]  # lowercase, never <EOS>
             trace.append((token, alpha))
             if token == EOS:
                 break

@@ -230,9 +230,10 @@ def embedding_rows(table, indices):
     out = Tensor(table.data[idx])
 
     def grad_fn(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, idx.reshape(-1), g.reshape(idx.size, -1))
-        return (gt,)
+        # cell (idx[k], j) is idx[k] * width + j; bincount adds in k order from 0.0, as np.add.at
+        shape = table.data.shape
+        cells = (idx.reshape(-1, 1) * shape[1] + np.arange(shape[1])).reshape(-1)
+        return (np.bincount(cells, g.reshape(-1), table.data.size).reshape(shape),)
 
     return _record("embedding_rows", (table,), out, grad_fn)
 
@@ -318,8 +319,9 @@ def gru(x, h0, wz, uz, bz, wr, ur, br, wc, uc, bc):
     with np.errstate(over="ignore"):  # exp(-a) overflows to inf, and the gate to 0
         for lo in range(0, steps * batch, batch):
             hi = lo + batch
-            z[lo:hi], r[lo:hi], c[lo:hi], hs[hi:hi + batch] = gru_step(
-                az[lo:hi], ar[lo:hi], ac[lo:hi], hs[lo:hi], uz.data, ur.data, uc.data)
+            h = hs[lo:hi]
+            gates = np.concatenate([az[lo:hi] + h @ uz.data.T, ar[lo:hi] + h @ ur.data.T], axis=1)
+            z[lo:hi], r[lo:hi], c[lo:hi], hs[hi:hi + batch] = gru_step(gates, ac[lo:hi], h, uc.data)
     prev, states = hs[:-batch], hs[batch:]
     out = Tensor(states.reshape(steps, batch, hidden).transpose(1, 0, 2))
 
@@ -345,12 +347,13 @@ def gru(x, h0, wz, uz, bz, wr, ur, br, wc, uc, bc):
     return _record("gru", (x, h0, wz, uz, bz, wr, ur, br, wc, uc, bc), out, grad_fn)
 
 
-def gru_step(az, ar, ac, h, uz, ur, uc):
-    """One GRU step of :func:`gru` and of greedy decoding, on plain arrays:
-    z, r, c and the next state from the input projections ``a*`` (biases
-    included) and ``h``.  Callers ignore overflow (a gate saturating to 0)."""
-    z = 1.0 / (1.0 + np.exp(-(az + h @ uz.T)))
-    r = 1.0 / (1.0 + np.exp(-(ar + h @ ur.T)))
+def gru_step(gates, ac, h, uc):
+    """One GRU step of :func:`gru` and of greedy decoding, on plain arrays: z, r, c and
+    the next state from ``gates`` (..., 2H), the update then reset pre-activations
+    with state terms added (x wz' + bz + h uz'), and the candidate's x wc' + bc.  One
+    sigmoid covers both gates.  Callers ignore overflow (a gate saturating to 0)."""
+    zr = 1.0 / (1.0 + np.exp(-gates))
+    z, r = zr[..., :h.shape[-1]], zr[..., h.shape[-1]:]
     c = np.tanh(ac + (r * h) @ uc.T)
     return z, r, c, (1.0 - z) * h + z * c
 

@@ -23,6 +23,7 @@ import json
 import logging
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -31,6 +32,7 @@ from .alignment import Source, align_description
 from .corpus import (DEFAULT_MAX_FACTS, DEFAULT_MAX_FACTUAL_WORDS, EOS, SOS, UNK, VOCAB_SOURCES,
                      Vocabulary, build_vocabulary)
 from .decoder import (
+    DecodePlan,
     DecoderParams,
     ModelDims,
     attention_context,
@@ -140,6 +142,11 @@ class Checkpoint:
     vocab: Vocabulary
     meta: dict = field(default_factory=dict)
 
+    @cached_property
+    def plan(self):
+        """Built on the first decode and kept: ``params`` must not change after it."""
+        return DecodePlan(self.params)
+
 
 def step_loss(entity, aligned, params, vocab, config, parts=False):
     """Teacher-forced loss of one entity: :func:`batch_loss` of a batch of one."""
@@ -242,15 +249,13 @@ def _clip_gradients(grads, clip):
 
 
 def _dev_bleu4(entities, params, vocab, config):
-    pairs = []
-    for entity in entities:
-        if not entity.description_tokens:
-            continue
-        candidate = greedy_decode(entity, params, vocab, config)
-        pairs.append(EvalPair(candidate, entity.description_tokens))
-    if not pairs:
+    """Dev BLEU-4 of greedy decodes, from a plan of the parameters as they are now."""
+    described = [e for e in entities if e.description_tokens]
+    if not described:
         return None
-    return bleu(pairs, 4)
+    plan = DecodePlan(params)
+    return bleu([EvalPair(greedy_decode(e, plan, vocab, config), e.description_tokens)
+                 for e in described], 4)
 
 
 def train(train_entities, dev_entities, config):
@@ -326,8 +331,8 @@ def train(train_entities, dev_entities, config):
 
 
 def generate_description(checkpoint, entity, max_len=None, return_trace=False):
-    """Greedy decoding with everything taken from the checkpoint."""
-    return greedy_decode(entity, checkpoint.params, checkpoint.vocab, checkpoint.config,
+    """Greedy decoding with everything taken from the checkpoint, its plan included."""
+    return greedy_decode(entity, checkpoint.plan, checkpoint.vocab, checkpoint.config,
                          max_len, return_trace)
 
 

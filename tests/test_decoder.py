@@ -139,7 +139,7 @@ def test_greedy_identical_facts_tie_and_copy_from_the_lower_slot():
     # depend on where a row sits: the twin facts' weights must tie exactly
     words = [f"w{i}" for i in range(40)]
     vocab = corpus.Vocabulary(["<UNK>", "<SOS>", "<EOS>"] + words)
-    params = DecoderParams(TrainConfig().dims(), rng=np.random.default_rng(24))
+    plan = decoder.DecodePlan(DecoderParams(TrainConfig().dims(), rng=np.random.default_rng(24)))
     rng = np.random.default_rng(25)
     picked_twin = 0
     for case in range(40):
@@ -147,7 +147,7 @@ def test_greedy_identical_facts_tie_and_copy_from_the_lower_slot():
                  for _ in range(int(rng.integers(2, 15)))]
         first, second = sorted(rng.choice(len(facts) + 1, 2, replace=False))
         facts.insert(second, facts[first])
-        _, trace = decoder.greedy_decode(corpus.Entity("Q", facts, None), params, vocab,
+        _, trace = decoder.greedy_decode(corpus.Entity("Q", facts, None), plan, vocab,
                                          TrainConfig(copy_only=case % 2 == 1), max_len=6,
                                          return_trace=True)
         for token, alpha in trace:
@@ -166,7 +166,8 @@ def test_greedy_decode_rejects_a_fact_wider_than_the_copy_head():
     for seed in range(5):
         params = DecoderParams(dims, rng=np.random.default_rng(seed))
         with pytest.raises(ShapeError):
-            decoder.greedy_decode(entity, params, vocab, TrainConfig(), max_len=20)
+            decoder.greedy_decode(entity, decoder.DecodePlan(params), vocab, TrainConfig(),
+                                  max_len=20)
 
 
 def test_positive_rescaling_keeps_argmax():
@@ -339,7 +340,7 @@ def routing_fixture():
 
 def test_greedy_decode_hand_routed_street():
     entity, params, vocab = routing_fixture()
-    tokens, trace = decoder.greedy_decode(entity, params, vocab, TrainConfig(),
+    tokens, trace = decoder.greedy_decode(entity, decoder.DecodePlan(params), vocab, TrainConfig(),
                                           max_len=8, return_trace=True)
     assert tokens == ["street"]
     assert [t for t, _ in trace] == ["street", "<EOS>"]
@@ -349,7 +350,8 @@ def test_greedy_decode_hand_routed_street():
 
 def test_greedy_decode_copy_only_never_uses_mean_slot():
     entity, params, vocab = routing_fixture()
-    tokens, trace = decoder.greedy_decode(entity, params, vocab, TrainConfig(copy_only=True),
+    tokens, trace = decoder.greedy_decode(entity, decoder.DecodePlan(params), vocab,
+                                          TrainConfig(copy_only=True),
                                           max_len=6, return_trace=True)
     assert len(tokens) == 6  # no <EOS> path, runs to max_len
     for _, alpha in trace:
@@ -371,7 +373,7 @@ def test_greedy_decode_respects_max_len_and_strips_specials():
         params = DecoderParams(dims, rng=np.random.default_rng(20 + seed))
         entity = random_entity(rng, vocab)
         for max_len in (1, 3, 7):
-            tokens = decoder.greedy_decode(entity, params, vocab,
+            tokens = decoder.greedy_decode(entity, decoder.DecodePlan(params), vocab,
                                            TrainConfig(), max_len=max_len)
             assert len(tokens) <= max_len
             assert "<UNK>" not in tokens
@@ -384,7 +386,7 @@ def test_greedy_decode_reselects_when_fact_has_no_words():
     params = DecoderParams(dims, rng=np.random.default_rng(30))
     vocab = corpus.Vocabulary(["<UNK>", "<SOS>", "<EOS>", "road"])
     entity = corpus.Entity("Q", [corpus.Fact.build("kind", "of the")], None)
-    tokens, trace = decoder.greedy_decode(entity, params, vocab,
+    tokens, trace = decoder.greedy_decode(entity, decoder.DecodePlan(params), vocab,
                                           TrainConfig(), max_len=4, return_trace=True)
     for _, alpha in trace:
         assert np.argmax(alpha) == 1  # mean slot; the wordless fact is masked
@@ -397,7 +399,7 @@ def test_greedy_trace_rows_cover_exactly_the_entitys_slots():
     for seed in range(8):
         params = DecoderParams(dims, rng=np.random.default_rng(40 + seed))
         entity = random_entity(rng, vocab)
-        _, trace = decoder.greedy_decode(entity, params, vocab,
+        _, trace = decoder.greedy_decode(entity, decoder.DecodePlan(params), vocab,
                                          TrainConfig(), max_len=6, return_trace=True)
         assert trace
         for _, alpha in trace:
@@ -416,7 +418,7 @@ def test_greedy_decode_never_emits_rows_past_the_vocabulary():
     entity = corpus.Entity("Q", [corpus.Fact.build("instance of", "the")], None)
     for seed in range(50):
         params = DecoderParams(config.dims(), rng=np.random.default_rng(seed))
-        tokens, trace = decoder.greedy_decode(entity, params, vocab,
+        tokens, trace = decoder.greedy_decode(entity, decoder.DecodePlan(params), vocab,
                                               config, return_trace=True)
         assert all(token in vocab for token, _ in trace)
         assert all(token in vocab for token in tokens)

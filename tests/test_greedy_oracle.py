@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from factdesc import corpus, toycorpus, training
 from factdesc.corpus import EOS, UNK
 from factdesc.decoder import (
+    DecodePlan,
     DecoderParams,
     attention_context,
     attention_keys,
@@ -108,6 +109,7 @@ def test_greedy_decode_equals_the_layer_functions(seed, copy_only, mean_fact, en
         for _ in range(repeated):
             facts.insert(int(rng.integers(len(facts) + 1)), facts[int(rng.integers(len(facts)))])
         entity = corpus.Entity(entity.id, facts, None)
-        tokens, trace = greedy_decode(entity, params, vocab, config, max_len, return_trace=True)
+        tokens, trace = greedy_decode(entity, DecodePlan(params), vocab, config, max_len,
+                                      return_trace=True)
         assert len(trace) <= max_len
         replay(entity, params, vocab, config, max_len, tokens, trace)

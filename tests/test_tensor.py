@@ -436,6 +436,23 @@ def test_embedding_rows_accumulates_duplicate_indices():
     assert np.array_equal(table.grad, [[0, 0], [1, 1], [3, 3], [0, 0]])
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_embedding_rows_gradient_equals_a_scatter_add_bit_for_bit(seed):
+    # rows repeat, magnitudes span 1e-8..1e8 (so the order of the additions
+    # shows in the bits), and the index array may be empty or a grid
+    rng = np.random.default_rng(seed)
+    rows, width = int(rng.integers(1, 30)), int(rng.integers(1, 12))
+    shape = [(0,), (int(rng.integers(1, 60)),), tuple(rng.integers(1, 6, 2))][seed % 3]
+    idx = rng.integers(0, rows, shape)
+    g = rng.standard_normal(shape + (width,)) * 10.0 ** rng.integers(-8, 9, shape + (width,))
+    table = T.Tensor(rng.standard_normal((rows, width)), requires_grad=True)
+    with T.Tape() as tape:
+        T.embedding_rows(table, idx)
+    expected = np.zeros((rows, width))
+    np.add.at(expected, idx.reshape(-1), g.reshape(-1, width))
+    assert np.array_equal(tape.nodes[0].grad_fn(g)[0], expected)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_grad_check_relu_away_from_kink(seed):
     rng = np.random.default_rng(200 + seed)
