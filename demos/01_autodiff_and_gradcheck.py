@@ -51,6 +51,6 @@ print("softmax-NLL gradient at uniform:", z.grad[0])
 
 # One bias-corrected Adam step with the defaults moves a fresh
 # parameter by almost exactly the learning rate.
-p = Tensor([0.0], requires_grad=True, name="p")
-adam_step([p], [np.ones(1)], AdamState(learning_rate=0.001))
-print("\nparameter after one Adam step against gradient 1:", p.data)
+values = np.zeros(1)  # adam_step updates one flat array, as it does the model's
+adam_step(values, np.ones(1), AdamState(learning_rate=0.001))
+print("\nparameter after one Adam step against gradient 1:", values)

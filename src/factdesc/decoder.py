@@ -95,6 +95,11 @@ def param_shapes(dims, mean_fact_mode="mean"):
     return shapes
 
 
+def param_offsets(shapes):
+    """Element offsets of :func:`param_shapes` laid end to end: each start, then the end."""
+    return np.cumsum([0] + [np.prod(shape, dtype=int) for _, shape, _ in shapes]).tolist()
+
+
 def _init_array(rng, shape, kind):
     if kind == "bias":
         return np.zeros(shape)
@@ -107,23 +112,26 @@ def _init_array(rng, shape, kind):
 
 
 class DecoderParams:
-    """Named tensor container for the whole model.
+    """The whole model as one flat float64 array ``data``, laid out as the checkpoint
+    payload (:func:`param_offsets`), and its gradient ``grad``, which covers the learnable
+    prefix (a frozen ``mean_fact_fixed`` comes last).  Each named tensor's ``.data`` is a
+    view of ``data``; :meth:`zero_grads` makes each learnable ``.grad`` a view of ``grad``,
+    which it allocates on its first call.  A given ``data`` is used as is;
+    ``load_checkpoint`` checks the layout before."""
 
-    Tensor order is fixed by :func:`param_shapes`, which keeps
-    checkpoints, Adam state, and parameter counting consistent.  ``arrays``
-    are used as given; ``load_checkpoint`` checks the layout before.
-    """
-
-    def __init__(self, dims, mean_fact_mode="mean", rng=None, arrays=None):
+    def __init__(self, dims, mean_fact_mode="mean", rng=None, data=None):
         self.dims = dims
         self.mean_fact_mode = mean_fact_mode
-        self._names = []
+        shapes = param_shapes(dims, mean_fact_mode)
+        self._names = [name for name, _, _ in shapes]
+        self._offsets = param_offsets(shapes)
         rng = rng if rng is not None else np.random.default_rng(0)
-        for name, shape, kind in param_shapes(dims, mean_fact_mode):
-            data = _init_array(rng, shape, kind) if arrays is None else arrays[name]
-            tensor = Tensor(data, requires_grad=(kind != "frozen"), name=name)
-            setattr(self, name, tensor)
-            self._names.append(name)
+        self.data = data if data is not None else np.concatenate(
+            [_init_array(rng, shape, kind).reshape(-1) for _, shape, kind in shapes])
+        for (name, shape, kind), lo, hi in zip(shapes, self._offsets, self._offsets[1:]):
+            setattr(self, name, Tensor(self.data[lo:hi].reshape(shape),
+                                       requires_grad=(kind != "frozen"), name=name))
+        self.grad = None
 
     def named_tensors(self):
         return [(name, getattr(self, name)) for name in self._names]
@@ -131,16 +139,22 @@ class DecoderParams:
     def learnable(self):
         return [t for _, t in self.named_tensors() if t.requires_grad]
 
+    def tensor_at(self, index):
+        """The name of the tensor that holds element ``index`` of ``data``."""
+        return self._names[np.searchsorted(self._offsets, index, side="right") - 1]
+
     def zero_grads(self):
-        for t in self.learnable():
-            t.zero_grad()
+        if self.grad is None:  # first allocated here: a model that only decodes has none
+            self.grad = np.zeros(self._offsets[len(self.learnable())])
+        self.grad.fill(0.0)
+        for t, lo, hi in zip(self.learnable(), self._offsets, self._offsets[1:]):
+            t.grad = self.grad[lo:hi].reshape(t.shape)  # a view again, also after grad_check
 
     def fixed_mean(self):
         return getattr(self, "mean_fact_fixed", None)
 
     def clone(self):
-        arrays = {name: t.data.copy() for name, t in self.named_tensors()}
-        return DecoderParams(self.dims, self.mean_fact_mode, arrays=arrays)
+        return DecoderParams(self.dims, self.mean_fact_mode, data=self.data.copy())
 
 
 # Teacher-forced training calls each layer below once per minibatch, the B

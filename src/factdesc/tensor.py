@@ -9,6 +9,8 @@ per call, so greedy decoding steps on plain arrays (:func:`gru_step`).
 table is gathered a few times per minibatch and every gradient is dense
 (:func:`embedding_rows` scatter-adds into a zero table).  Products,
 softmaxes, losses and the GRU take rows: one distribution is (1, K), not (K,).
+The model's tensors and gradients are views of two flat arrays
+(:class:`factdesc.decoder.DecoderParams`), and :func:`adam_step` updates one.
 
 All arithmetic is double precision; checkpoints downcast to float32 on
 disk (see :mod:`factdesc.training`).
@@ -16,7 +18,7 @@ disk (see :mod:`factdesc.training`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,8 +29,8 @@ from .errors import ConfigError, InvalidMaskError, ShapeError, TrainingDivergenc
 class Tensor:
     """A dense float64 array plus gradient bookkeeping.
 
-    ``grad`` is lazily allocated by :func:`backward` and always matches
-    ``data``'s shape.  ``name`` is optional and only used for error
+    ``grad`` is allocated by :func:`backward` when absent and always
+    matches ``data``'s shape.  ``name`` is optional and only used for error
     messages and checkpoint manifests.
     """
 
@@ -43,12 +45,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    def zero_grad(self):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        else:
-            self.grad.fill(0.0)
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
@@ -424,12 +420,15 @@ def backward(loss, tape):
                 t.grad += c
 
 
+ADAM_CHUNK = 16384  # values updated per pass, so the temporaries stay small
+
+
 @dataclass
 class AdamState:
-    """Adam moments and hyperparameters for one parameter list.
+    """Adam moments and hyperparameters for one flat parameter array.
 
-    Moment arrays are allocated lazily on the first step and keyed by
-    position, so the same parameter order must be used on every call.
+    The moment arrays ``m`` and ``v`` are allocated on the first step, so
+    every call must update the same array.
     """
 
     learning_rate: float = 0.001
@@ -437,52 +436,44 @@ class AdamState:
     beta2: float = 0.999
     epsilon: float = 1e-8
     step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: Optional[np.ndarray] = None
+    v: Optional[np.ndarray] = None
 
 
-def adam_step(params, grads, state):
-    """One bias-corrected Adam update, in place and without temporaries.
-
-    ``params`` and ``grads`` are parallel lists; parameter data and the
-    state are mutated, the gradients are not.  A non-finite gradient
-    aborts with the offending parameter named.
-    """
-    if state.learning_rate <= 0:
-        raise ConfigError(f"adam_step: learning_rate must be positive, got {state.learning_rate}")
-    if not state.m:
-        state.m = [np.zeros_like(p.data) for p in params]
-        state.v = [np.zeros_like(p.data) for p in params]
+def adam_step(values, grad, state, name_at=str):
+    """One bias-corrected Adam update of the flat array ``values`` by ``grad``, of its
+    size, in place and in chunks of :data:`ADAM_CHUNK`; ``grad`` is not changed.  A
+    non-finite gradient aborts, naming ``name_at`` of its first index: the tensor that
+    holds it, in a model (:meth:`~factdesc.decoder.DecoderParams.tensor_at`)."""
+    if not 0 < state.learning_rate < np.inf:
+        raise ConfigError(f"adam_step: learning_rate {state.learning_rate} is outside (0, inf)")
+    finite = np.isfinite(grad)
+    if not finite.all():
+        raise TrainingDivergenceError(
+            f"non-finite gradient for parameter {name_at(finite.argmin())}")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(grad), np.zeros_like(grad)
     state.step += 1
     bc1 = 1.0 - state.beta1 ** state.step
     bc2 = 1.0 - state.beta2 ** state.step
     scale = state.learning_rate / bc1
-    width = max([16384] + [p.data[0].size for p in params])  # updates run on row slices
-    work = np.empty((2, width))
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if g.shape != p.data.shape:
-            raise ShapeError(f"adam_step: gradient shape {g.shape} does not match "
-                             f"parameter {p.name or i} of shape {p.data.shape}")
-        if not np.isfinite(g).all():
-            raise TrainingDivergenceError(f"non-finite gradient for parameter {p.name or i}")
-        rows = width // g[0].size
-        for lo in range(0, len(g), rows):
-            param, grad, m, v = (a[lo:lo + rows] for a in (p.data, g, state.m[i], state.v[i]))
-            delta, root = (buf[:grad.size].reshape(grad.shape) for buf in work)
-            # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2, p -= scale m / (sqrt(v / bc2) + eps)
-            m *= state.beta1
-            m += np.multiply(grad, 1.0 - state.beta1, out=delta)
-            v *= state.beta2
-            np.multiply(grad, grad, out=delta)
-            delta *= 1.0 - state.beta2
-            v += delta
-            np.divide(v, bc2, out=root)
-            np.sqrt(root, out=root)
-            root += state.epsilon
-            np.multiply(m, scale, out=delta)
-            delta /= root
-            param -= delta
-    return params, state
+    work = np.empty((2, ADAM_CHUNK))
+    for lo in range(0, grad.size, ADAM_CHUNK):
+        param, g, m, v = (a[lo:lo + ADAM_CHUNK] for a in (values, grad, state.m, state.v))
+        delta, root = work[:, :g.size]
+        # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2, p -= scale m / (sqrt(v / bc2) + eps)
+        m *= state.beta1
+        m += np.multiply(g, 1.0 - state.beta1, out=delta)
+        v *= state.beta2
+        np.multiply(g, g, out=delta)
+        delta *= 1.0 - state.beta2
+        v += delta
+        np.divide(v, bc2, out=root)
+        np.sqrt(root, out=root)
+        root += state.epsilon
+        np.multiply(m, scale, out=delta)
+        delta /= root
+        param -= delta
 
 
 def grad_check(function, params, perturbation=1e-5):

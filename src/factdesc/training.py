@@ -12,8 +12,8 @@ replays it once; ``step_loss`` is the same loss for a batch of one.  One
 
 Checkpoint files are binary: magic ``FKS1``, a little-endian uint32
 manifest length, a UTF-8 JSON manifest (version, config, vocabulary,
-metadata, and the tensor entries the config lays out), then the tensors'
-row-major little-endian float32 payloads back to back.
+metadata, and the tensor entries the config lays out), then the model's
+flat parameter array ``DecoderParams.data`` as little-endian float32.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .decoder import (
     decoder_step,
     fact_attention,
     greedy_decode,
+    param_offsets,
     param_shapes,
     slot_embedding,
     vocab_logits,
@@ -239,13 +240,10 @@ def batch_loss(entities, aligned, params, vocab, config, parts=False):
     return (total, fact_total, word_total) if parts else total
 
 
-def _clip_gradients(grads, clip):
-    norm = np.sqrt(sum(float((g * g).sum()) for g in grads))
+def _clip_gradients(grad, clip):
+    norm = np.sqrt(grad @ grad)
     if norm > clip:
-        scale = clip / norm
-        for g in grads:
-            g *= scale
-    return grads
+        grad *= clip / norm
 
 
 def _dev_bleu4(entities, params, vocab, config):
@@ -274,7 +272,6 @@ def train(train_entities, dev_entities, config):
     aligned = [align_description(e, vocab) for e in usable]
     params = DecoderParams(config.dims(), config.mean_fact, rng=rng)
     state = AdamState(learning_rate=config.learning_rate)
-    learnable = params.learnable()
     best = None
     best_score = None
     best_epoch = None
@@ -298,14 +295,10 @@ def train(train_entities, dev_entities, config):
             epoch_loss += value
             if loss.requires_grad:
                 backward(loss, tape)
-            grads = []
-            inv = 1.0 / len(batch)
-            for p in learnable:
-                p.grad *= inv
-                grads.append(p.grad)
+            params.grad *= 1.0 / len(batch)
             if config.grad_clip is not None:
-                _clip_gradients(grads, config.grad_clip)
-            adam_step(learnable, grads, state)
+                _clip_gradients(params.grad, config.grad_clip)
+            adam_step(params.data[:params.grad.size], params.grad, state, params.tensor_at)
         mean_loss = epoch_loss / len(usable)
         loss_history.append(mean_loss)
         dev_score = _dev_bleu4(dev_entities, params, vocab, config)
@@ -355,11 +348,10 @@ def format_param_table(config):
 
 def _tensor_entries(config):
     """The config's manifest tensor entries, back to back from byte 0, and the payload size."""
-    entries, offset = [], 0
-    for name, shape, _ in param_shapes(config.dims(), config.mean_fact):
-        entries.append({"name": name, "shape": list(shape), "dtype": "f32", "offset": offset})
-        offset += prod(shape) * 4
-    return entries, offset
+    shapes = param_shapes(config.dims(), config.mean_fact)
+    offsets = param_offsets(shapes)
+    return [{"name": name, "shape": list(shape), "dtype": "f32", "offset": 4 * offset}
+            for (name, shape, _), offset in zip(shapes, offsets)], 4 * offsets[-1]
 
 
 def _check_layout(path, stored, expected):
@@ -377,7 +369,8 @@ def _check_layout(path, stored, expected):
 
 
 def save_checkpoint(checkpoint, path):
-    """Serialize to the FKS1 container: the config's tensor layout, then float32 payloads."""
+    """Serialize to the FKS1 container: the config's tensor layout, then the model's flat
+    array in float32."""
     manifest = {
         "version": CHECKPOINT_VERSION,
         "config": checkpoint.config.to_dict(),
@@ -390,18 +383,17 @@ def save_checkpoint(checkpoint, path):
         handle.write(CHECKPOINT_MAGIC)
         handle.write(struct.pack("<I", len(blob)))
         handle.write(blob)
-        for _, t in checkpoint.params.named_tensors():
-            handle.write(t.data.astype("<f4").tobytes())
+        handle.write(checkpoint.params.data.astype("<f4").tobytes())
 
 
 def load_checkpoint(path):
     """Read an FKS1 file back into a :class:`Checkpoint`.
 
-    Rejects bad magic, version mismatches, malformed manifests, a
-    vocabulary longer than the output rows, that repeats a word or does not
-    start with the specials, a tensor list other than the config's layout
-    (naming the first entry that differs), a payload of another length, and
-    non-finite tensors.
+    Rejects bad magic, version mismatches, malformed manifests (a ``meta``
+    that is not an object included), a vocabulary longer than the output
+    rows, that repeats a word or does not start with the specials, a tensor
+    list other than the config's layout (naming the first entry that
+    differs), a payload of another length, and non-finite tensors (named).
     """
     with open(path, "rb") as handle:
         raw = handle.read()
@@ -424,6 +416,8 @@ def load_checkpoint(path):
     missing = [key for key in MANIFEST_KEYS if key not in manifest]
     if missing:
         raise CheckpointError(f"{path}: manifest lacks {', '.join(missing)}")
+    if not isinstance(manifest["meta"], dict):
+        raise CheckpointError(f"{path}: manifest meta is not a JSON object")
     config = TrainConfig.from_dict(manifest["config"])
     words, rows = manifest["vocab"], config.dims().vocab_size
     if (not isinstance(words, list) or not all(isinstance(w, str) for w in words)
@@ -435,11 +429,10 @@ def load_checkpoint(path):
     payload = raw[8 + manifest_len:]
     if len(payload) != n_bytes:
         raise CheckpointError(f"{path}: payload holds {len(payload)} bytes, not {n_bytes}")
-    values = np.frombuffer(payload, "<f4").astype(np.float64)
-    arrays = {}
-    for entry, chunk in zip(expected, np.split(values, [e["offset"] // 4 for e in expected[1:]])):
-        arrays[entry["name"]] = chunk.reshape(entry["shape"])
-        if not np.isfinite(chunk).all():
-            raise CheckpointError(f"{path}: tensor {entry['name']!r} holds non-finite values")
-    params = DecoderParams(config.dims(), config.mean_fact, arrays=arrays)
+    params = DecoderParams(config.dims(), config.mean_fact,
+                           data=np.frombuffer(payload, "<f4").astype(np.float64))
+    finite = np.isfinite(params.data)
+    if not finite.all():
+        raise CheckpointError(f"{path}: tensor {params.tensor_at(finite.argmin())!r} "
+                              "holds non-finite values")
     return Checkpoint(params, config, Vocabulary(words), manifest["meta"])

@@ -331,6 +331,13 @@ def test_generate_manifest_not_an_object_exits_2(trained, tmp_path, capsys):
     assert code == 2 and "not a JSON object" in err
 
 
+def test_generate_manifest_meta_not_an_object_exits_2(trained, tmp_path, capsys):
+    bad = tmp_path / "bad.fks"
+    _rewrite_manifest(trained[3], bad, lambda m: {**m, "meta": [1, 2]})
+    code, err = _generate_exit(bad, tmp_path, capsys)
+    assert code == 2 and "meta is not a JSON object" in err
+
+
 @pytest.mark.parametrize("field", ["encoding", "mean_fact", "vocab_source"])
 def test_generate_manifest_unknown_mode_exits_2(trained, tmp_path, capsys, field):
     bad = tmp_path / "bad.fks"

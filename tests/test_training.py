@@ -1,14 +1,18 @@
 import json
 import math
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factdesc import corpus, toycorpus, training
 from factdesc.alignment import align_description
 from factdesc.decoder import DecoderParams
+from factdesc.encoder import ENCODING_MODES, MEAN_FACT_MODES
 from factdesc.errors import CheckpointError, ConfigError, DataError, TrainingDivergenceError
 from factdesc.tensor import Tape, Tensor, backward, grad_check
 from factdesc.training import Checkpoint, TrainConfig
@@ -189,15 +193,14 @@ def test_copy_only_loss_skips_vocabulary_tokens():
 
 
 def test_gradient_clipping_scales_to_global_norm():
-    grads = [np.array([3.0, 4.0]), np.zeros(2)]  # norm 5
-    training._clip_gradients(grads, 1.0)
-    total = np.sqrt(sum((g * g).sum() for g in grads))
-    assert total == pytest.approx(1.0)
-    assert np.allclose(grads[0], [0.6, 0.8])
+    grad = np.array([3.0, 4.0, 0.0, 0.0])  # norm 5
+    training._clip_gradients(grad, 1.0)
+    assert np.sqrt((grad * grad).sum()) == pytest.approx(1.0)
+    assert np.allclose(grad, [0.6, 0.8, 0.0, 0.0])
 
-    untouched = [np.array([0.3, 0.4])]  # norm 0.5 stays put
+    untouched = np.array([0.3, 0.4])  # norm 0.5 stays put
     training._clip_gradients(untouched, 1.0)
-    assert np.allclose(untouched[0], [0.3, 0.4])
+    assert np.allclose(untouched, [0.3, 0.4])
 
 
 def test_train_accepts_grad_clip():
@@ -349,6 +352,28 @@ def test_checkpoint_round_trip_byte_identical(tmp_path):
     assert loaded.config == checkpoint.config
     assert loaded.vocab.words == checkpoint.vocab.words
     assert loaded.meta == checkpoint.meta
+    # the committed sample1k model, read only, saves back to its own bytes
+    training.save_checkpoint(training.load_checkpoint(SAMPLE1K_CHECKPOINT), second)
+    assert second.read_bytes() == SAMPLE1K_CHECKPOINT.read_bytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(dims=st.lists(st.integers(1, 6), min_size=6, max_size=6),
+       encoding=st.sampled_from(ENCODING_MODES),
+       mean_fact=st.sampled_from(MEAN_FACT_MODES), seed=st.integers(0, 2**16))
+def test_checkpoint_round_trip_byte_identical_on_random_configs(dims, encoding, mean_fact, seed):
+    vocab_size, words, embed, hidden, attn, head = dims
+    config = TrainConfig(vocab_size=vocab_size, max_factual_words=words, embed_dim=embed,
+                         hidden_dim=hidden, attn_dim=attn, head_dim=head, encoding=encoding,
+                         mean_fact=mean_fact, seed=seed)
+    params = DecoderParams(config.dims(), mean_fact, rng=np.random.default_rng(seed))
+    vocab = corpus.Vocabulary([corpus.UNK, corpus.SOS, corpus.EOS]
+                              + [f"w{i}" for i in range(seed % (vocab_size + 1))])
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.fks", Path(tmp) / "second.fks"
+        training.save_checkpoint(Checkpoint(params, config, vocab, {"seed": seed}), first)
+        training.save_checkpoint(training.load_checkpoint(first), second)
+        assert first.read_bytes() == second.read_bytes()
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
