@@ -3,12 +3,12 @@
 Each step selects one slot of the encoded entity by attention argmax.
 Picking a real fact routes the step through the copy head, which points
 at a position inside that fact's factual words; picking the mean-fact
-slot routes it through the vocabulary softmax instead.  The GRU input
-concatenates the selected fact embedding with feedback from the
-previous step: the emitted vocabulary word's embedding or the copied
-position's one-hot, never both.  Training runs the layer functions below on
-whole minibatches; greedy decoding regroups their arithmetic on plain arrays
-and reads a :class:`DecodePlan` of the weight products no entity changes.
+slot routes it through the vocabulary softmax instead.  A step's GRU gate
+inputs add the selected fact's to those the previous step feeds back: the
+emitted vocabulary word's or the copied position's, never both.  Training runs
+the layer functions below on whole minibatches; greedy decoding regroups their
+arithmetic on plain arrays and reads a :class:`DecodePlan` of the weight
+products no entity changes.  Both read the gate weights from :func:`gate_columns`.
 """
 
 from __future__ import annotations
@@ -50,11 +50,6 @@ class ModelDims:
     copy_width: int  # positions the copy head can point at
 
     @property
-    def gru_input(self):
-        # [selected fact; previous word embedding; previous copy one-hot]
-        return 2 * self.embed_dim + self.copy_width
-
-    @property
     def pair_dim(self):
         return self.embed_dim + self.hidden_dim
 
@@ -76,7 +71,7 @@ def param_shapes(dims, mean_fact_mode="mean"):
     ]
     for gate in GATES:
         shapes += [
-            (f"gru_{gate}_x", (H, dims.gru_input), "weight"),
+            (f"gru_{gate}_x", (H, 2 * d + dims.copy_width), "weight"),
             (f"gru_{gate}_h", (H, H), "weight"),
             (f"gru_{gate}_b", (H,), "bias"),
         ]
@@ -197,12 +192,22 @@ def attention_context(alpha, fact_embs):
     return matmul(alpha, fact_embs)
 
 
-def decoder_step(f, w_prev, v_prev, h0, params):
-    """GRU states h_1..h_T from the input rows [f_t; w_{t-1}; v_{t-1}] and h_0."""
-    return gru(concat([f, w_prev, v_prev], axis=-1), h0,
-               params.gru_update_x, params.gru_update_h, params.gru_update_b,
-               params.gru_reset_x, params.gru_reset_h, params.gru_reset_b,
-               params.gru_cand_x, params.gru_cand_h, params.gru_cand_b)
+def gate_columns(params):
+    """The gates' input weights split by input, each block stacked over :data:`GATES`.
+
+    Each ``gru_*_x`` reads [selected fact; previous word embedding; previous copy
+    position's one-hot], so the blocks are the fact (3H, d), word (3H, d) and copy
+    (3H, copy_width) columns; then the stacked biases (3H,).  Recorded on the tape,
+    so the gradients reach the weights."""
+    d = params.dims.embed_dim
+    blocks = [concat([getitem(getattr(params, f"gru_{g}_x"), np.s_[:, lo:hi]) for g in GATES])
+              for lo, hi in ((0, d), (d, 2 * d), (2 * d, None))]
+    return (*blocks, concat([getattr(params, f"gru_{g}_b") for g in GATES]))
+
+
+def decoder_step(pre, h0, params):
+    """GRU states h_1..h_T from the gate inputs ``pre`` (B, T, 3H) and h_0."""
+    return gru(pre, h0, params.gru_update_h, params.gru_reset_h, params.gru_cand_h)
 
 
 def vocab_logits(c, h, params):
@@ -231,23 +236,23 @@ class DecodePlan:
     """The arrays greedy decoding reads, derived once from one model's ``params``
     (kept for the encoder).  A snapshot: build a new one after the parameters change.
 
-    ``slot_w`` (d, a + 3H) holds the key columns of ``attn_hidden_w``, then each
-    gate's fact columns; ``state_w`` (a + 2H, H) the query columns, ``gru_update_h``
-    and ``gru_reset_h``.  ``word_feedback`` (V, 3H) and ``copy_feedback``
-    (copy_width, 3H) hold the gate inputs a word or a copied position feeds back."""
+    ``slot_w`` (d, a + 3H) holds the key columns of ``attn_hidden_w``, then the fact
+    columns of :func:`gate_columns`; ``state_w`` (a + 2H, H) the query columns,
+    ``gru_update_h`` and ``gru_reset_h``; ``word_feedback`` (V, 3H) the word table through
+    the word columns, and ``copy_feedback`` (copy_width, 3H) the copy columns as rows."""
 
     def __init__(self, params):
         d, p = params.dims.embed_dim, {name: t.data for name, t in params.named_tensors()}
-        gate_x = [p[f"gru_{g}_x"] for g in GATES]
+        fact, word, copy, bias = (t.data for t in gate_columns(params))
         self.params = params
-        self.slot_w = np.concatenate([w[:, :d] for w in [p["attn_hidden_w"], *gate_x]]).T.copy()
-        self.slot_b = np.concatenate([p["attn_hidden_b"]] + [p[f"gru_{g}_b"] for g in GATES])
+        self.slot_w = np.concatenate([p["attn_hidden_w"][:, :d], fact]).T.copy()
+        self.slot_b = np.concatenate([p["attn_hidden_b"], bias])
         self.state_w = np.concatenate([p["attn_hidden_w"][:, d:], p["gru_update_h"],
                                        p["gru_reset_h"]])
         self.cand_h = p["gru_cand_h"]
         self.energy_w, self.energy_b = p["attn_energy_w"][0], p["attn_energy_b"]
-        self.word_feedback = p["word_emb"] @ np.concatenate([w[:, d:2 * d] for w in gate_x]).T
-        self.copy_feedback = np.concatenate([w[:, 2 * d:] for w in gate_x]).T.copy()
+        self.word_feedback = p["word_emb"] @ word.T
+        self.copy_feedback = copy.T.copy()
         layers = ("hidden_w", "hidden_b", "out_w", "out_b")
         self.vocab_head = [p[f"vocab_{layer}"] for layer in layers]
         self.copy_head = [p[f"copy_{layer}"] for layer in layers]

@@ -147,17 +147,10 @@ def affine(x, w, b=None):
         y += b.data
     out = Tensor(y)
 
-    if b is None:
-
-        def grad_fn(g):
-            return g @ w.data, g.T @ x.data
-
-        return _record("affine", (x, w), out, grad_fn)
-
     def grad_fn(g):
-        return g @ w.data, g.T @ x.data, g.sum(axis=0)
+        return g @ w.data, g.T @ x.data, None if b is None else g.sum(axis=0)
 
-    return _record("affine", (x, w, b), out, grad_fn)
+    return _record("affine", (x, w) if b is None else (x, w, b), out, grad_fn)
 
 
 def concat(parts, axis=0):
@@ -253,6 +246,10 @@ def nll(p, index, rows=None):
     return _record("nll", (p,), out, grad_fn)
 
 
+def transpose(x):
+    return _record("transpose", (x,), Tensor(x.data.T), lambda g: (g.T,))
+
+
 def getitem(x, key):
     """``x.data[key]`` for a basic index (integers and slices)."""
     out = Tensor(x.data[key])
@@ -288,65 +285,55 @@ def additive_energies(keys, queries, w, b):
     return _record("additive_energies", (keys, queries, w, b), out, grad_fn)
 
 
-def gru(x, h0, wz, uz, bz, wr, ur, br, wc, uc, bc):
-    """GRU states h_1..h_T of B sequences: (B, T, H) from the input rows ``x``
-    (B, T, I) and ``h0`` (B, H).
+def gru(pre, h0, uz, ur, uc):
+    """GRU states h_1..h_T of B sequences: (B, T, H) from the gate inputs ``pre``
+    (B, T, 3H), biases included (:func:`factdesc.decoder.gate_columns`), and ``h0`` (B, H).
 
-    Step t computes z = sigmoid(x_t wz' + bz + h uz'), r likewise from
-    (wr, ur, br), c = tanh(x_t wc' + bc + (r * h) uc') and the state
-    (1 - z) * h + z * c.  The input projections are one GEMM per gate
-    over all rows; only the H x H recurrence runs step by step, on (B, H).
-    The gradient is backpropagation through time written out by hand, so
-    each weight gradient is one GEMM over all rows.  Padded steps past a
-    sequence's end need no mask: no loss reads them, so their gradient is
-    exactly zero.
+    Step t computes z = sigmoid(a_z + h uz'), r likewise and c = tanh(a_c + (r * h) uc')
+    from its gate inputs [a_z; a_r; a_c], then the state (1 - z) * h + z * c.  The
+    gradient is backpropagation through time written out by hand, each state-weight
+    gradient one GEMM over all rows.  Padded steps need no mask: no loss reads them, so
+    their gradient is exactly zero.
     """
-    xs, hidden = x.data, uz.data.shape[0]
-    if xs.ndim != 3 or xs.shape[-1] != wz.data.shape[1] or h0.data.shape != (len(xs), hidden):
-        raise ShapeError(f"gru got inputs {xs.shape} and state {h0.data.shape} "
-                         f"for weights {wz.data.shape} and {uz.data.shape}")
-    batch, steps, width = xs.shape
-    # time-major rows: step t's B rows are rows t*B..(t+1)*B-1, one contiguous block
-    rows = xs.transpose(1, 0, 2).reshape(-1, width)
-    az, ar, ac = [rows @ w.data.T + b.data for w, b in ((wz, bz), (wr, br), (wc, bc))]
-    hs = np.empty(((steps + 1) * batch, hidden))  # h_0..h_T
-    hs[:batch] = h0.data
-    z, r, c = np.empty(az.shape), np.empty(az.shape), np.empty(az.shape)
+    ps, hidden = pre.data, uz.data.shape[0]
+    if ps.ndim != 3 or ps.shape[-1] != 3 * hidden or h0.data.shape != (len(ps), hidden):
+        raise ShapeError(f"gru got gate inputs {ps.shape} and state {h0.data.shape} "
+                         f"for state weights {uz.data.shape}")
+    batch, steps = ps.shape[:2]
+    hs = np.empty((steps + 1, batch, hidden))  # h_0..h_T, time-major as z, r and c
+    hs[0] = h0.data
+    zrc = np.empty((steps, batch, 3 * hidden))
+    z, r, c = np.split(zrc, 3, axis=2)
+    uzr = np.concatenate([uz.data, ur.data])  # both gates' state weights: one product a step
     with np.errstate(over="ignore"):  # exp(-a) overflows to inf, and the gate to 0
-        for lo in range(0, steps * batch, batch):
-            hi = lo + batch
-            h = hs[lo:hi]
-            gates = np.concatenate([az[lo:hi] + h @ uz.data.T, ar[lo:hi] + h @ ur.data.T], axis=1)
-            z[lo:hi], r[lo:hi], c[lo:hi], hs[hi:hi + batch] = gru_step(gates, ac[lo:hi], h, uc.data)
-    prev, states = hs[:-batch], hs[batch:]
-    out = Tensor(states.reshape(steps, batch, hidden).transpose(1, 0, 2))
+        for t in range(steps):
+            h, a = hs[t], ps[:, t]
+            z[t], r[t], c[t], hs[t + 1] = gru_step(a[:, :2 * hidden] + h @ uzr.T,
+                                                   a[:, 2 * hidden:], h, uc.data)
+    out = Tensor(hs[1:].transpose(1, 0, 2))
 
     def grad_fn(g):
-        g = g.transpose(1, 0, 2).reshape(-1, hidden)
-        gz, gr, gc = np.empty_like(z), np.empty_like(z), np.empty_like(z)
+        gpre = np.empty_like(zrc)
+        gz, gr, gc = np.split(gpre, 3, axis=2)
         dh = np.zeros((batch, hidden))
-        for lo in range(steps * batch - batch, -1, -batch):  # local derivatives step by step
-            hi = lo + batch
-            zt, rt, ct, h = z[lo:hi], r[lo:hi], c[lo:hi], prev[lo:hi]
-            dh = dh + g[lo:hi]
-            gz[lo:hi] = gzt = (ct - h) * zt * (1.0 - zt) * dh
-            gc[lo:hi] = gct = zt * (1.0 - ct * ct) * dh
+        for t in range(steps - 1, -1, -1):  # local derivatives step by step
+            zt, rt, ct, h = z[t], r[t], c[t], hs[t]
+            dh = dh + g[:, t]
+            gz[t] = (ct - h) * zt * (1.0 - zt) * dh
+            gc[t] = gct = zt * (1.0 - ct * ct) * dh
             drh = gct @ uc.data
-            gr[lo:hi] = grt = h * rt * (1.0 - rt) * drh
-            dh = (1.0 - zt) * dh + rt * drh + gzt @ uz.data + grt @ ur.data
-        dx = gz @ wz.data + gr @ wr.data + gc @ wc.data
-        return (dx.reshape(steps, batch, width).transpose(1, 0, 2), dh,
-                gz.T @ rows, gz.T @ prev, gz.sum(axis=0),
-                gr.T @ rows, gr.T @ prev, gr.sum(axis=0),
-                gc.T @ rows, gc.T @ (r * prev), gc.sum(axis=0))
+            gr[t] = h * rt * (1.0 - rt) * drh
+            dh = (1.0 - zt) * dh + rt * drh + gpre[t, :, :2 * hidden] @ uzr
+        gz, gr, gc, prev, rh = (x.reshape(-1, hidden) for x in (gz, gr, gc, hs[:-1], r * hs[:-1]))
+        return gpre.transpose(1, 0, 2), dh, gz.T @ prev, gr.T @ prev, gc.T @ rh
 
-    return _record("gru", (x, h0, wz, uz, bz, wr, ur, br, wc, uc, bc), out, grad_fn)
+    return _record("gru", (pre, h0, uz, ur, uc), out, grad_fn)
 
 
 def gru_step(gates, ac, h, uc):
     """One GRU step of :func:`gru` and of greedy decoding, on plain arrays: z, r, c and
-    the next state from ``gates`` (..., 2H), the update then reset pre-activations
-    with state terms added (x wz' + bz + h uz'), and the candidate's x wc' + bc.  One
+    the next state from ``gates`` (..., 2H), the update then reset gate inputs of
+    :func:`gru` with state terms added (a_z + h uz'), and the candidate's ``ac``.  One
     sigmoid covers both gates.  Callers ignore overflow (a gate saturating to 0)."""
     zr = 1.0 / (1.0 + np.exp(-gates))
     z, r = zr[..., :h.shape[-1]], zr[..., h.shape[-1]:]

@@ -39,6 +39,7 @@ from .decoder import (
     attention_keys,
     decoder_step,
     fact_attention,
+    gate_columns,
     greedy_decode,
     param_offsets,
     param_shapes,
@@ -49,8 +50,8 @@ from .decoder import (
 from .encoder import ENCODING_MODES, MEAN_FACT_MODES, encode_entities
 from .errors import CheckpointError, ConfigError, DataError, TrainingDivergenceError
 from .metrics import EvalPair, bleu
-from .tensor import (AdamState, Tape, Tensor, adam_step, add, backward, concat, embedding_rows,
-                     getitem, mul, nll, reshape)
+from .tensor import (AdamState, Tape, Tensor, adam_step, add, affine, backward, concat,
+                     embedding_rows, getitem, nll, reshape, transpose)
 
 log = logging.getLogger(__name__)
 
@@ -177,12 +178,10 @@ def batch_loss(entities, aligned, params, vocab, config, parts=False):
     target = np.zeros((batch, steps), dtype=np.intp)  # copy position or word index
     n_words = np.zeros((batch, steps), dtype=np.intp)  # the gold fact's words, copy steps
     copied = np.zeros((batch, steps), dtype=bool)
-    # step t's feedback is token t-1: its word embedding after a vocabulary
-    # step, its copy position's one-hot after a copy step, zeros at t = 0
-    # (steps without a word gather row 0, and ``fed`` zeroes it)
-    words = np.zeros((batch, steps), dtype=np.intp)
-    fed = np.zeros((batch, steps, 1))
-    onehots = np.zeros((batch, steps, dims.copy_width))
+    # step t's gate inputs add token t-1's feedback, one row of the table built below:
+    # the zero row at t = 0, a copy column after a copy, a fed word's row after a word
+    feedback = np.zeros((batch, steps), dtype=np.intp)
+    fed_words = []
     for b, (entity, tokens) in enumerate(zip(entities, aligned)):
         if tokens.entity_id != entity.id:
             raise DataError(f"alignment for {tokens.entity_id} applied to entity {entity.id}")
@@ -194,10 +193,12 @@ def batch_loss(entities, aligned, params, vocab, config, parts=False):
                     raise DataError(f"entity {entity.id}: copy position {pos} "
                                     f"of fact {i} out of range")
                 copied[b, t], gold[b, t], target[b, t] = True, i, pos
-                onehots[b, t + 1:t + 2, pos] = 1.0
+                feedback[b, t + 1:t + 2] = 1 + pos
             else:
-                target[b, t] = words[b, t + 1:t + 2] = token.word_index
-                fed[b, t + 1:t + 2] = 1.0
+                target[b, t] = token.word_index
+                if t + 1 < steps:
+                    feedback[b, t + 1] = 1 + dims.copy_width + len(fed_words)
+                    fed_words.append(token.word_index)
     lengths = np.array([len(a.tokens) for a in aligned])
     scored = copied if config.copy_only else np.arange(steps) < lengths[:, None]
     if not scored.any():
@@ -212,9 +213,12 @@ def batch_loss(entities, aligned, params, vocab, config, parts=False):
     zero_row = Tensor(np.zeros((1, dims.embed_dim)))
     fact_embs = embedding_rows(concat([fact_rows, mean_rows, zero_row]), layout.reshape(-1))
     gold_rows = gold + np.arange(batch)[:, None] * slots  # rows of fact_embs, (B * S, d)
-    w_prev = mul(embedding_rows(params.word_emb, words), Tensor(fed))
-    h = decoder_step(slot_embedding(fact_embs, gold_rows), w_prev, Tensor(onehots),
-                     Tensor(np.zeros((batch, dims.hidden_dim))), params)
+    fact_cols, word_cols, copy_cols, gate_b = gate_columns(params)
+    table = concat([Tensor(np.zeros((1, 3 * dims.hidden_dim))), transpose(copy_cols),
+                    affine(embedding_rows(params.word_emb, fed_words), word_cols)])
+    slot_in = affine(slot_embedding(fact_embs, gold_rows.reshape(-1)), fact_cols, gate_b)
+    pre = add(reshape(slot_in, (batch, steps, -1)), embedding_rows(table, feedback))
+    h = decoder_step(pre, Tensor(np.zeros((batch, dims.hidden_dim))), params)
     # h_0..h_{T-1}: step t attends from h_t, and emits from h_{t+1} = h[:, t]
     states = concat([Tensor(np.zeros((batch, 1, dims.hidden_dim))),
                      getitem(h, np.s_[:, :-1])], axis=1)

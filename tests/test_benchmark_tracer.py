@@ -55,4 +55,7 @@ def test_tracer_wraps_and_restores_every_name(monkeypatch, mean_fact):
     assert figures["encoder.encode_entity_calls"][0] == 1
     assert figures["decoder.greedy_decode_calls"][0] == 1
     assert figures["decoder.fact_attention_calls"][0] == 1
+    # the loss must reach the GRU and the slot rows through the names the tracer wraps
+    assert figures["decoder.decoder_step_calls"][0] == 1
+    assert sum(s.name == "decoder.slot_embedding" for s in tracer.spans) > 0
     assert figures["tensor.backward_calls"][0] == 1

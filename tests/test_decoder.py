@@ -6,7 +6,8 @@ import pytest
 from factdesc import corpus, decoder
 from factdesc.decoder import DecoderParams, ModelDims
 from factdesc.errors import EmptyFactError, ShapeError
-from factdesc.tensor import Tensor, getitem, grad_check, masked_softmax, mul, sum_all
+from factdesc.tensor import (Tensor, add, affine, getitem, grad_check, masked_softmax, mul,
+                             reshape, sum_all)
 from factdesc.training import TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -196,34 +197,52 @@ def test_slot_embedding_gathers_the_exact_row():
         assert np.array_equal(np.delete(slots.grad, slot, axis=0), np.zeros((3, 3)))
 
 
+def _gate_inputs(f, w, v, params):
+    # (B, T, 3H) gate inputs of the rows [f; w; v] (B, T, .), through the gate columns
+    fact, word, copy, bias = decoder.gate_columns(params)
+    rows = [reshape(x, (-1, x.shape[-1])) for x in (f, w, v)]
+    pre = add(add(affine(rows[0], fact, bias), affine(rows[1], word)), affine(rows[2], copy))
+    return reshape(pre, f.shape[:2] + (-1,))
+
+
+def test_gate_columns_split_each_gate_by_input():
+    params = DecoderParams(tiny_dims(), rng=np.random.default_rng(8))
+    fact, word, copy, bias = decoder.gate_columns(params)
+    for i, gate in enumerate(decoder.GATES):
+        x = getattr(params, f"gru_{gate}_x").data
+        rows = np.s_[3 * i:3 * i + 3]
+        assert np.array_equal(np.hstack([fact.data[rows], word.data[rows], copy.data[rows]]), x)
+        assert np.array_equal(bias.data[rows], getattr(params, f"gru_{gate}_b").data)
+
+
 def test_decoder_step_zero_weights_halve_state():
     dims = tiny_dims()
     params = zeroed_params(dims)
     h_prev = Tensor(np.array([[0.4, -0.8, 1.2]]))
-    f_t = Tensor(np.ones((1, 1, 3)))
-    w_prev = Tensor(np.zeros((1, 1, 3)))
-    v_prev = Tensor(np.zeros((1, 1, 4)))
-    h = decoder.decoder_step(f_t, w_prev, v_prev, h_prev, params)
+    pre = _gate_inputs(Tensor(np.ones((1, 1, 3))), Tensor(np.zeros((1, 1, 3))),
+                       Tensor(np.zeros((1, 1, 4))), params)
+    h = decoder.decoder_step(pre, h_prev, params)
     assert h.shape == (1, 1, 3)
     assert np.allclose(h.data[:, 0], 0.5 * h_prev.data)
-    zero = decoder.decoder_step(f_t, w_prev, v_prev, Tensor(np.zeros((1, 3))), params)
+    zero = decoder.decoder_step(pre, Tensor(np.zeros((1, 3))), params)
     assert np.allclose(zero.data, 0.0)
 
 
 def test_decoder_step_gradients_match_finite_differences():
+    # through the gate columns, so the gradients reach every gru_* tensor
     dims = tiny_dims()
     params = DecoderParams(dims, rng=np.random.default_rng(9))
     rng = np.random.default_rng(10)
-    f_t = Tensor(rng.normal(size=(1, 1, 3)))
-    w_prev = Tensor(rng.normal(size=(1, 1, 3)))
-    v_prev = Tensor(rng.normal(size=(1, 1, 4)))
+    f_t, w_prev, v_prev = (Tensor(rng.normal(size=(1, 1, n))) for n in (3, 3, 4))
     h_prev = Tensor(rng.normal(size=(1, 3)))
     gru = [t for name, t in params.named_tensors() if name.startswith("gru_")]
 
     def f(_):
-        return sum_all(decoder.decoder_step(f_t, w_prev, v_prev, h_prev, params))
+        return sum_all(decoder.decoder_step(_gate_inputs(f_t, w_prev, v_prev, params),
+                                            h_prev, params))
 
     assert grad_check(f, gru) < 1e-6
+    assert all(np.abs(t.grad).max() > 0 for t in gru)
 
 
 def test_decoder_step_rows_equal_chained_single_steps():
@@ -231,14 +250,14 @@ def test_decoder_step_rows_equal_chained_single_steps():
     rng = np.random.default_rng(17)
     for steps in range(1, 7):
         params = DecoderParams(dims, rng=np.random.default_rng(50 + steps))
-        f, w, v = (rng.normal(size=(1, steps, n)) for n in (3, 3, 4))
+        f, w, v = (Tensor(rng.normal(size=(1, steps, n))) for n in (3, 3, 4))
+        pre = _gate_inputs(f, w, v, params)
         h0 = Tensor(rng.normal(size=(1, 3)))
-        rows = decoder.decoder_step(Tensor(f), Tensor(w), Tensor(v), h0, params).data
+        rows = decoder.decoder_step(pre, h0, params).data
         assert rows.shape == (1, steps, 3)
         state = h0
         for t in range(steps):
-            state = getitem(decoder.decoder_step(Tensor(f[:, t:t + 1]), Tensor(w[:, t:t + 1]),
-                                                 Tensor(v[:, t:t + 1]), state, params), 0)
+            state = getitem(decoder.decoder_step(Tensor(pre.data[:, t:t + 1]), state, params), 0)
             assert np.allclose(rows[0, t], state.data[0], rtol=0.0, atol=1e-12)
 
 

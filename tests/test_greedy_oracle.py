@@ -2,13 +2,16 @@
 
 Greedy decoding steps on plain arrays.  The oracle below replays each
 decode through the layer functions training uses (``fact_attention``,
-``decoder_step`` with the one-hot copy feedback, ``vocab_logits``,
-``copy_logits``), driven by the decode's own choices: the slot each trace
-row picks and the token it emits.  Every trace row must equal the layer's
-attention row, and every token must be the argmax of the head its slot
-routes to, on random small models and toy entities that include facts
-with no factual words and repeated facts (drawn from a fixed seed, so the
-suite reruns the same cases).
+``decoder_step``, ``vocab_logits``, ``copy_logits``), driven by the
+decode's own choices: the slot each trace row picks and the token it
+emits.  Each step's gate inputs come from the input row [f_t; w_{t-1};
+one-hot of the copied position] through each gate's whole ``gru_*_x``,
+not from ``gate_columns``, so the column layout the plan reads is checked
+too.  Every trace row must equal the layer's attention row, and every
+token must be the argmax of the head its slot routes to, on random small
+models and toy entities that include facts with no factual words and
+repeated facts (drawn from a fixed seed, so the suite reruns the same
+cases).
 """
 
 import numpy as np
@@ -19,6 +22,7 @@ from factdesc import corpus, toycorpus, training
 from factdesc.corpus import EOS, UNK
 from factdesc.decoder import (
     DecodePlan,
+    GATES,
     DecoderParams,
     attention_context,
     attention_keys,
@@ -30,7 +34,7 @@ from factdesc.decoder import (
     vocab_logits,
 )
 from factdesc.encoder import encode_entity
-from factdesc.tensor import Tensor, embedding_rows, getitem
+from factdesc.tensor import Tensor, affine, concat, embedding_rows, getitem, reshape
 
 WORDLESS = corpus.Fact.build("kind", "of the")  # every value word is a stopword
 
@@ -46,8 +50,8 @@ def replay(entity, params, vocab, config, max_len, tokens, trace):
     if config.copy_only:
         mask[0, mean_slot] = False
     h = Tensor(np.zeros((1, 1, dims.hidden_dim)))  # (B, T, H)
-    w_prev = Tensor(np.zeros((1, 1, dims.embed_dim)))
-    v_prev = Tensor(np.zeros((1, 1, dims.copy_width)))
+    w_prev = Tensor(np.zeros((1, dims.embed_dim)))
+    v_prev = Tensor(np.zeros((1, dims.copy_width)))
     for token, row in trace:
         slot = int(np.argmax(row))
         alpha = fact_attention(keys, mask, h, params)
@@ -57,22 +61,25 @@ def replay(entity, params, vocab, config, max_len, tokens, trace):
             mask[0, top] = False
             alpha = fact_attention(keys, mask, h, params)
         assert np.abs(alpha.data[0] - row).max() <= 1e-12
-        h = decoder_step(slot_embedding(enc.embeddings, [[slot]]), w_prev, v_prev,
-                         getitem(h, 0), params)
-        f_t, h_t = slot_embedding(enc.embeddings, [slot]), getitem(h, 0)  # (1, d), (1, H)
+        f_t = slot_embedding(enc.embeddings, [slot])  # (1, d)
+        x = concat([f_t, w_prev, v_prev], axis=1)
+        pre = concat([affine(x, getattr(params, f"gru_{g}_x"), getattr(params, f"gru_{g}_b"))
+                      for g in GATES], axis=1)
+        h = decoder_step(reshape(pre, (1, 1, -1)), getitem(h, 0), params)
+        h_t = getitem(h, 0)  # (1, H)
         if slot == mean_slot:
             dist = vocab_logits(attention_context(alpha, enc.embeddings), h_t, params)
             word = int(np.argmax(dist.data[0, : len(vocab)]))
             assert token == vocab.word(word)
-            w_prev = embedding_rows(params.word_emb, [[word]])
-            v_prev = Tensor(np.zeros((1, 1, dims.copy_width)))
+            w_prev = embedding_rows(params.word_emb, [word])
+            v_prev = Tensor(np.zeros((1, dims.copy_width)))
         else:
             words = entity.facts[slot].factual_words
             pos = int(np.argmax(copy_logits(f_t, h_t, [len(words)], params).data))
             assert token == words[pos]
-            onehot = np.zeros((1, 1, dims.copy_width))
-            onehot[0, 0, pos] = 1.0
-            w_prev, v_prev = Tensor(np.zeros((1, 1, dims.embed_dim))), Tensor(onehot)
+            onehot = np.zeros((1, dims.copy_width))
+            onehot[0, pos] = 1.0
+            w_prev, v_prev = Tensor(np.zeros((1, dims.embed_dim))), Tensor(onehot)
     if len(trace) < max_len and not (trace and trace[-1][0] == EOS):
         # decoding stopped early: attending masks every slot left, one by one
         while mask.any():

@@ -108,11 +108,10 @@ def test_nll_over_rows_sums_and_scatters():
 
 @pytest.mark.parametrize("steps", range(1, 7))
 def test_gru_gradients_match_finite_differences(steps):
-    # all 11 inputs, including a random initial state
+    # all 5 inputs, including a random initial state
     rng = np.random.default_rng(300 + steps)
-    n_in, hidden = 4, 3
-    params = _random_params(rng, (1, steps, n_in), (1, hidden),
-                            *[(hidden, n_in), (hidden, hidden), (hidden,)] * 3)
+    hidden = 3
+    params = _random_params(rng, (1, steps, 3 * hidden), (1, hidden), *[(hidden, hidden)] * 3)
     weights = T.Tensor(rng.normal(size=(1, steps, hidden)))
 
     def f(ps):
@@ -125,9 +124,9 @@ def test_gru_gradients_match_finite_differences(steps):
 @pytest.mark.parametrize("batch,steps", [(2, 1), (2, 4), (3, 3), (5, 2)])
 def test_batched_gru_gradients_match_finite_differences(batch, steps):
     rng = np.random.default_rng(400 + 10 * batch + steps)
-    n_in, hidden = 4, 3
-    params = _random_params(rng, (batch, steps, n_in), (batch, hidden),
-                            *[(hidden, n_in), (hidden, hidden), (hidden,)] * 3)
+    hidden = 3
+    params = _random_params(rng, (batch, steps, 3 * hidden), (batch, hidden),
+                            *[(hidden, hidden)] * 3)
     weights = T.Tensor(rng.normal(size=(batch, steps, hidden)))
 
     def f(ps):
@@ -139,8 +138,8 @@ def test_batched_gru_gradients_match_finite_differences(batch, steps):
 
 def test_batched_gru_rows_equal_one_sequence_each():
     rng = np.random.default_rng(12)
-    weights = _random_params(rng, *[(3, 4), (3, 3), (3,)] * 3)
-    x, h0 = rng.normal(size=(4, 5, 4)), rng.normal(size=(4, 3))
+    weights = _random_params(rng, *[(3, 3)] * 3)
+    x, h0 = rng.normal(size=(4, 5, 9)), rng.normal(size=(4, 3))
     rows = T.gru(T.Tensor(x), T.Tensor(h0), *weights).data
     assert rows.shape == (4, 5, 3)
     for b in range(4):
@@ -153,9 +152,9 @@ def test_batched_gru_padded_steps_get_exactly_zero_gradient():
     rng = np.random.default_rng(13)
     lengths = [2, 5, 3]
     live = np.arange(5)[None, :] < np.array(lengths)[:, None]
-    data = rng.normal(size=(3, 5, 4))
+    data = rng.normal(size=(3, 5, 9))
     h0 = T.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-    weights = _random_params(rng, *[(3, 4), (3, 3), (3,)] * 3)
+    weights = _random_params(rng, *[(3, 3)] * 3)
     read = T.Tensor(rng.normal(size=(3, 5, 3)) * live[..., None])
 
     def grads(padding):
@@ -170,16 +169,17 @@ def test_batched_gru_padded_steps_get_exactly_zero_gradient():
 
     x_grad, base = grads(0.0)
     assert (x_grad[~live] == 0.0).all() and (x_grad[live] != 0.0).all()
-    _, moved = grads(rng.normal(size=(int((~live).sum()), 4)) * 50)
+    _, moved = grads(rng.normal(size=(int((~live).sum()), 9)) * 50)
     for a, b in zip(base, moved):
         assert np.array_equal(a, b)
 
 
 def test_gru_rejects_mismatched_shapes():
     rng = np.random.default_rng(11)
-    weights = _random_params(rng, *[(3, 4), (3, 3), (3,)] * 3)
-    # input width, state rows, and one sequence (T, I) without a batch axis
-    for x, h0 in (((1, 2, 5), (1, 3)), ((1, 2, 4), (2, 3)), ((2, 4), (1, 3))):
+    weights = _random_params(rng, *[(3, 3)] * 3)
+    # gate inputs not 3H wide, state rows, and one sequence (T, 3H) without a batch axis
+    for x, h0 in (((1, 2, 8), (1, 3)), ((1, 2, 6), (1, 3)), ((1, 2, 9), (2, 3)),
+                  ((2, 9), (1, 3))):
         with pytest.raises(ShapeError):
             T.gru(T.Tensor(np.zeros(x)), T.Tensor(np.zeros(h0)), *weights)
 
@@ -387,6 +387,8 @@ def test_grad_check_every_primitive(seed):
                            [table]),
         "matmul stacked": (lambda ps: T.sum_all(T.tanh(T.matmul(ps[0], ps[1]))),
                            _random_params(rng, (2, n, k), (2, k, m))),
+        "transpose": (lambda ps: T.sum_all(T.mul(T.transpose(ps[0]), ps[1])),
+                      _random_params(rng, (n, k), (k, n))),
         "getitem": (lambda ps: T.sum_all(T.mul(q := T.getitem(ps[0], np.s_[:, 1:]), q)), [a]),
         "additive_energies": (lambda ps: T.sum_all(T.mul(e := T.additive_energies(*ps), e)),
                               _random_params(rng, (m, k), (n, k), (1, k), (1,))),
@@ -397,9 +399,9 @@ def test_grad_check_every_primitive(seed):
         "embedding_rows grid": (lambda ps: T.sum_all(T.mul(
             e := T.embedding_rows(ps[0], idx.reshape(3, 1)), e)), [table]),
         "gru": (lambda ps: T.sum_all(T.mul(g := T.gru(*ps), g)),
-                _random_params(rng, (1, n, k), (1, m), *[(m, k), (m, m), (m,)] * 3)),
+                _random_params(rng, (1, n, 3 * m), (1, m), *[(m, m)] * 3)),
         "gru batch": (lambda ps: T.sum_all(T.mul(g := T.gru(*ps), g)),
-                      _random_params(rng, (3, n, k), (3, m), *[(m, k), (m, m), (m,)] * 3)),
+                      _random_params(rng, (3, n, 3 * m), (3, m), *[(m, m)] * 3)),
         "segment_sum": (lambda ps: T.sum_all(T.mul(s := T.segment_sum(ps[0], runs), s)), [a]),
         "reshape": (lambda ps: T.sum_all(T.mul(r := T.reshape(ps[0], (k, n)), r)), [a]),
     }
