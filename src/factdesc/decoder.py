@@ -193,15 +193,14 @@ def attention_context(alpha, fact_embs):
 
 
 def gate_columns(params):
-    """The gates' input weights split by input, each block stacked over :data:`GATES`.
+    """The gates' input weights stacked over :data:`GATES`, then split by input.
 
     Each ``gru_*_x`` reads [selected fact; previous word embedding; previous copy
     position's one-hot], so the blocks are the fact (3H, d), word (3H, d) and copy
-    (3H, copy_width) columns; then the stacked biases (3H,).  Recorded on the tape,
-    so the gradients reach the weights."""
-    d = params.dims.embed_dim
-    blocks = [concat([getitem(getattr(params, f"gru_{g}_x"), np.s_[:, lo:hi]) for g in GATES])
-              for lo, hi in ((0, d), (d, 2 * d), (2 * d, None))]
+    (3H, copy_width) columns; then the stacked biases (3H,).  Recorded on the tape
+    (one stack, a column slice per block), so the gradients reach the weights."""
+    d, weights = params.dims.embed_dim, concat([getattr(params, f"gru_{g}_x") for g in GATES])
+    blocks = (getitem(weights, np.s_[:, lo:hi]) for lo, hi in ((0, d), (d, 2 * d), (2 * d, None)))
     return (*blocks, concat([getattr(params, f"gru_{g}_b") for g in GATES]))
 
 

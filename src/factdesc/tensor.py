@@ -139,7 +139,8 @@ def matmul(a, b):
 
 
 def affine(x, w, b=None):
-    """``x @ w.T (+ b)`` with ``x`` (n, i), ``w`` (o, i) and ``b`` (o,)."""
+    """``x @ w.T (+ b)`` with ``x`` (n, i), ``w`` (o, i) and ``b`` (o,), kept 2-D: ``w``'s
+    gradient is then one GEMM, and ``perfbench/spans.py`` counts flops from (rows, width)."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
         raise ShapeError(f"affine shapes {x.data.shape} and {w.data.shape} do not agree")
     y = x.data @ w.data.T
@@ -214,14 +215,15 @@ def masked_softmax(v, mask):
 
 
 def embedding_rows(table, indices):
-    """Gather rows of a 2-D table, any shape of indices; the gradient scatter-adds them back."""
+    """Gather rows of a table, any shape of indices; the gradient scatter-adds them back.
+    The table's leading axes count as one: row i of a (B, T, H) table is [i // T, i % T]."""
     idx = np.asarray(indices, dtype=np.intp)
-    out = Tensor(table.data[idx])
+    shape = table.data.shape
+    out = Tensor(table.data.reshape(-1, shape[-1])[idx])
 
     def grad_fn(g):
         # cell (idx[k], j) is idx[k] * width + j; bincount adds in k order from 0.0, as np.add.at
-        shape = table.data.shape
-        cells = (idx.reshape(-1, 1) * shape[1] + np.arange(shape[1])).reshape(-1)
+        cells = (idx.reshape(-1, 1) * shape[-1] + np.arange(shape[-1])).reshape(-1)
         return (np.bincount(cells, g.reshape(-1), table.data.size).reshape(shape),)
 
     return _record("embedding_rows", (table,), out, grad_fn)

@@ -256,16 +256,3 @@ def write_jsonl(records, path):
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-
-
-def write_splits(out_dir, n_train=1000, n_dev=100, n_test=100, seed=0):
-    """Generate one corpus and split it train/dev/test in order."""
-    records = generate_corpus(n_train + n_dev + n_test, seed=seed)
-    paths = {}
-    bounds = {"train": (0, n_train), "dev": (n_train, n_train + n_dev),
-              "test": (n_train + n_dev, n_train + n_dev + n_test)}
-    for name, (lo, hi) in bounds.items():
-        path = f"{out_dir}/{name}.jsonl"
-        write_jsonl(records[lo:hi], path)
-        paths[name] = path
-    return paths

@@ -225,19 +225,18 @@ def batch_loss(entities, aligned, params, vocab, config, parts=False):
     alpha = fact_attention(attention_keys(fact_embs, params), mask, states, params)
     b, t = np.nonzero(scored)
     fact_total = nll(alpha, gold[b, t], rows=b * steps + t)
-    h_rows = reshape(h, (-1, dims.hidden_dim))
-    word_terms = []
+    word_terms = []  # the heads gather their rows b * steps + t straight from (B, T, .)
     b, t = np.nonzero(copied)
     if b.size:
         dist = copy_logits(slot_embedding(fact_embs, gold_rows[b, t]),
-                           embedding_rows(h_rows, b * steps + t), n_words[b, t], params)
+                           embedding_rows(h, b * steps + t), n_words[b, t], params)
         word_terms.append(nll(dist, target[b, t]))
     b, t = np.nonzero(scored & ~copied)
     if b.size:
         context = attention_context(reshape(alpha, (batch, steps, slots)),
                                     reshape(fact_embs, (batch, slots, dims.embed_dim)))
-        dist = vocab_logits(embedding_rows(reshape(context, (-1, dims.embed_dim)), b * steps + t),
-                            embedding_rows(h_rows, b * steps + t), params)
+        dist = vocab_logits(embedding_rows(context, b * steps + t),
+                            embedding_rows(h, b * steps + t), params)
         word_terms.append(nll(dist, target[b, t]))
     word_total = word_terms[0] if len(word_terms) == 1 else add(*word_terms)
     total = add(word_total, fact_total)

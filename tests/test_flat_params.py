@@ -8,9 +8,9 @@ from factdesc import corpus, training
 from factdesc.alignment import align_description
 from factdesc.decoder import DecoderParams
 from factdesc.errors import TrainingDivergenceError
-from factdesc.tensor import grad_check
+from factdesc.tensor import Tape, backward, grad_check
 
-from .test_training import load_toy, tiny_config
+from .test_training import load_toy, sample1k_minibatch, tiny_config
 
 MODES = ["mean", "fixed_random"]
 
@@ -64,6 +64,19 @@ def test_learnable_grads_are_views_after_zero_grads_also_after_grad_check(mode):
         assert _element_offset(tensor.grad, params.grad) == offset, tensor.name
         offset += tensor.data.size
     assert (params.fixed_mean() is None) == (mode == "mean")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_whole_minibatch_backward_leaves_every_learnable_grad_a_live_view(mode):
+    # a tape node that rebound a weight's .grad would drop its gradient from Adam silently
+    entities, aligned, params, vocab, config = sample1k_minibatch(mode)
+    params.zero_grads()
+    with Tape() as tape:
+        loss = training.batch_loss(entities, aligned, params, vocab, config)
+    backward(loss, tape)
+    for tensor in params.learnable():
+        assert np.shares_memory(tensor.grad, params.grad), tensor.name
+        assert tensor.grad.any(), tensor.name
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -398,6 +398,8 @@ def test_grad_check_every_primitive(seed):
                      [weights]),
         "embedding_rows grid": (lambda ps: T.sum_all(T.mul(
             e := T.embedding_rows(ps[0], idx.reshape(3, 1)), e)), [table]),
+        "embedding_rows 3-D table": (lambda ps: T.sum_all(T.mul(
+            e := T.embedding_rows(ps[0], idx + 1), e)), _random_params(rng, (2, 3, k))),
         "gru": (lambda ps: T.sum_all(T.mul(g := T.gru(*ps), g)),
                 _random_params(rng, (1, n, 3 * m), (1, m), *[(m, m)] * 3)),
         "gru batch": (lambda ps: T.sum_all(T.mul(g := T.gru(*ps), g)),
@@ -453,6 +455,21 @@ def test_embedding_rows_gradient_equals_a_scatter_add_bit_for_bit(seed):
     expected = np.zeros((rows, width))
     np.add.at(expected, idx.reshape(-1), g.reshape(-1, width))
     assert np.array_equal(tape.nodes[0].grad_fn(g)[0], expected)
+
+
+def test_embedding_rows_of_a_3d_table_equal_those_of_its_2d_reshape_bit_for_bit():
+    rng = np.random.default_rng(7)
+    data, idx = rng.standard_normal((2, 3, 4)), np.array([[5, 0], [3, 5], [2, 5]])
+    g = rng.standard_normal((3, 2, 4)) * 10.0 ** rng.integers(-8, 9, (3, 2, 4))
+    grads = []
+    for shape in ((2, 3, 4), (6, 4)):
+        table = T.Tensor(data.reshape(shape), requires_grad=True)
+        with T.Tape() as tape:
+            rows = T.embedding_rows(table, idx)
+        assert np.array_equal(rows.data, data.reshape(6, 4)[idx])
+        grads.append(tape.nodes[0].grad_fn(g)[0])
+        assert grads[-1].shape == shape
+    assert np.array_equal(grads[0].reshape(6, 4), grads[1])
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import json
 import math
 import struct
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from factdesc import corpus, toycorpus, training
 from factdesc.alignment import align_description
-from factdesc.decoder import DecoderParams
+from factdesc.decoder import GATES, DecoderParams
 from factdesc.encoder import ENCODING_MODES, MEAN_FACT_MODES
 from factdesc.errors import CheckpointError, ConfigError, DataError, TrainingDivergenceError
 from factdesc.tensor import Tape, Tensor, backward, grad_check
@@ -306,7 +308,39 @@ def test_format_param_table_lists_total():
     assert "376,364" in table
 
 
-SAMPLE1K_CHECKPOINT = Path(__file__).resolve().parent.parent / "perfbench" / "sample1k.fks"
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLE1K_CHECKPOINT = ROOT / "perfbench" / "sample1k.fks"
+
+
+def sample1k_minibatch(mean_fact="mean"):
+    """The first 16 training entities of the bundled sample, aligned, and a fresh model at
+    ``configs/sample1k.json`` sizes: (entities, aligned, params, vocab, config)."""
+    config = dataclasses.replace(TrainConfig.from_file(ROOT / "configs" / "sample1k.json"),
+                                 mean_fact=mean_fact)
+    train = corpus.load_entities(ROOT / "data" / "sample1k" / "train.jsonl", config.max_facts,
+                                 config.max_factual_words)
+    vocab = corpus.build_vocabulary(train, config.vocab_size, config.vocab_source)
+    entities = train[:16]
+    params = DecoderParams(config.dims(), mean_fact, rng=np.random.default_rng(config.seed))
+    return entities, [align_description(e, vocab) for e in entities], params, vocab, config
+
+
+def test_sample1k_minibatch_tape_records_55_nodes_5_of_them_gate_layout():
+    entities, aligned, params, vocab, config = sample1k_minibatch()
+    with Tape() as tape:
+        training.batch_loss(entities, aligned, params, vocab, config)
+    assert collections.Counter(node.op for node in tape.nodes) == {
+        "add": 3, "additive_energies": 1, "affine": 8, "concat": 7, "embedding_rows": 9,
+        "getitem": 6, "gru": 1, "masked_softmax": 3, "matmul": 2, "mul": 1, "nll": 3,
+        "relu": 2, "reshape": 7, "segment_sum": 1, "transpose": 1}
+    # the gate layout: stacks and slices made of nothing but gate input weights and biases
+    laid_out = {id(getattr(params, f"gru_{gate}_{part}")) for gate in GATES for part in "xb"}
+    layout = 0
+    for node in tape.nodes:
+        if node.op in ("concat", "getitem") and all(id(t) in laid_out for t in node.inputs):
+            laid_out.add(id(node.output))
+            layout += 1
+    assert layout == 5
 
 
 def _trained_checkpoint(tmp_path, **cfg_kw):
