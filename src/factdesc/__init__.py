@@ -29,7 +29,6 @@ from .decoder import (
     DecodePlan,
     DecoderParams,
     ModelDims,
-    attention_keys,
     copy_logits,
     decoder_step,
     fact_attention,

@@ -8,7 +8,8 @@ inputs add the selected fact's to those the previous step feeds back: the
 emitted vocabulary word's or the copied position's, never both.  Training runs
 the layer functions below on whole minibatches; greedy decoding regroups their
 arithmetic on plain arrays and reads a :class:`DecodePlan` of the weight
-products no entity changes.  Both read the gate weights from :func:`gate_columns`.
+products no entity changes.  Both attend over the encoder's slot table and
+read the gate weights and feedback rows from :func:`gate_columns`.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .tensor import (
     matmul,
     relu,
     reshape,
+    transpose,
 )
 
 GATES = ("update", "reset", "cand")  # the GRU's, in parameter order
@@ -156,25 +158,20 @@ class DecoderParams:
 # entities' slots padded to S and steps to T: states and GRU inputs are
 # (B, T, .), and the heads take the N scored steps as (N, .) rows.
 
-def attention_keys(slots, params):
-    """Slots (S, d) projected once by the fact columns W_f of ``attn_hidden_w``."""
-    fact_cols = getitem(params.attn_hidden_w, np.s_[:, : params.dims.embed_dim])
-    return affine(slots, fact_cols, params.attn_hidden_b)
-
-
-def fact_attention(keys, mask, states, params):
+def fact_attention(slots, mask, states, params):
     """Attention distributions over the slots, one row per state h_{t-1}.
 
-    ``keys`` (B * S, a) from :func:`attention_keys`, ``mask`` (B, S) and
-    ``states`` (B, T, H) give (B * T, S).  The states are projected once and
-    broadcast-added to the keys.
+    ``slots`` (B * S, d) and ``mask`` (B, S), as ``encoder.encode_entities`` lays
+    them out, and ``states`` (B, T, H) give (B * T, S).  The slots are projected
+    once by the fact columns of ``attn_hidden_w`` (the keys), the states once by its
+    state columns, and the two are broadcast-added.
     """
     if states.data.ndim != 3 or np.ndim(mask) != 2:
         raise ShapeError(f"fact_attention got states {states.shape} and mask {np.shape(mask)}")
-    dims = params.dims
+    dims, w = params.dims, params.attn_hidden_w
     batch, steps = states.shape[:2]
-    state_cols = getitem(params.attn_hidden_w, np.s_[:, dims.embed_dim:])
-    queries = affine(reshape(states, (-1, dims.hidden_dim)), state_cols)
+    keys = affine(slots, getitem(w, np.s_[:, : dims.embed_dim]), params.attn_hidden_b)
+    queries = affine(reshape(states, (-1, dims.hidden_dim)), getitem(w, np.s_[:, dims.embed_dim:]))
     energies = additive_energies(reshape(keys, (batch, -1, dims.attn_dim)),
                                  reshape(queries, (batch, steps, dims.attn_dim)),
                                  params.attn_energy_w, params.attn_energy_b)
@@ -192,16 +189,20 @@ def attention_context(alpha, fact_embs):
     return matmul(alpha, fact_embs)
 
 
-def gate_columns(params):
-    """The gates' input weights stacked over :data:`GATES`, then split by input.
+def gate_columns(params, words):
+    """The fact columns (3H, d) and biases (3H,) of the gates stacked over :data:`GATES`,
+    and the feedback table: the gate inputs each previous token can feed back.
 
-    Each ``gru_*_x`` reads [selected fact; previous word embedding; previous copy
-    position's one-hot], so the blocks are the fact (3H, d), word (3H, d) and copy
-    (3H, copy_width) columns; then the stacked biases (3H,).  Recorded on the tape
-    (one stack, a column slice per block), so the gradients reach the weights."""
+    Each ``gru_*_x`` reads [selected fact; previous word; previous copy position's
+    one-hot], so table row 0 is the first step's zero row, row 1 + p position p's copy
+    columns, and row 1 + copy_width + i ``words[i]``'s embedding through the word columns.
+    Recorded on the tape, so the gradients reach the weights and the word table."""
     d, weights = params.dims.embed_dim, concat([getattr(params, f"gru_{g}_x") for g in GATES])
-    blocks = (getitem(weights, np.s_[:, lo:hi]) for lo, hi in ((0, d), (d, 2 * d), (2 * d, None)))
-    return (*blocks, concat([getattr(params, f"gru_{g}_b") for g in GATES]))
+    fact, word, copy = (getitem(weights, np.s_[:, lo:hi])
+                        for lo, hi in ((0, d), (d, 2 * d), (2 * d, None)))
+    bias = concat([getattr(params, f"gru_{g}_b") for g in GATES])
+    return fact, bias, concat([Tensor(np.zeros((1, len(bias.data)))), transpose(copy),
+                               affine(embedding_rows(params.word_emb, words), word)])
 
 
 def decoder_step(pre, h0, params):
@@ -237,21 +238,19 @@ class DecodePlan:
 
     ``slot_w`` (d, a + 3H) holds the key columns of ``attn_hidden_w``, then the fact
     columns of :func:`gate_columns`; ``state_w`` (a + 2H, H) the query columns,
-    ``gru_update_h`` and ``gru_reset_h``; ``word_feedback`` (V, 3H) the word table through
-    the word columns, and ``copy_feedback`` (copy_width, 3H) the copy columns as rows."""
+    ``gru_update_h`` and ``gru_reset_h``; ``feedback`` (1 + copy_width + V, 3H) is the
+    :func:`gate_columns` table of every vocabulary word, word i at row 1 + copy_width + i."""
 
     def __init__(self, params):
         d, p = params.dims.embed_dim, {name: t.data for name, t in params.named_tensors()}
-        fact, word, copy, bias = (t.data for t in gate_columns(params))
-        self.params = params
+        columns = gate_columns(params, range(params.dims.vocab_size))  # every word's feedback
+        fact, bias, self.feedback = (t.data for t in columns)
+        self.params, self.cand_h = params, p["gru_cand_h"]
         self.slot_w = np.concatenate([p["attn_hidden_w"][:, :d], fact]).T.copy()
         self.slot_b = np.concatenate([p["attn_hidden_b"], bias])
         self.state_w = np.concatenate([p["attn_hidden_w"][:, d:], p["gru_update_h"],
                                        p["gru_reset_h"]])
-        self.cand_h = p["gru_cand_h"]
         self.energy_w, self.energy_b = p["attn_energy_w"][0], p["attn_energy_b"]
-        self.word_feedback = p["word_emb"] @ word.T
-        self.copy_feedback = copy.T.copy()
         layers = ("hidden_w", "hidden_b", "out_w", "out_b")
         self.vocab_head = [p[f"vocab_{layer}"] for layer in layers]
         self.copy_head = [p[f"copy_{layer}"] for layer in layers]
@@ -273,8 +272,8 @@ def greedy_decode(entity, plan, vocab, config, max_len=None, return_trace=False)
     Stops at ``<EOS>`` or ``max_len`` (default ``config.max_decode_len``);
     ``<UNK>`` is stripped from the returned tokens (the trace keeps every
     step, with one attention weight per slot).  The vocabulary head picks
-    among the ``len(vocab)`` words only.  With ``config.copy_only`` the
-    mean-fact slot is never selectable.  The layers above, regrouped on plain
+    among the ``len(vocab)`` words only.  The encoder's mask keeps the mean-fact
+    slot unselectable under ``copy_only``.  The layers above, regrouped on plain
     arrays: one product per entity gives the keys and all slots' gate inputs, one
     per step the query and gate state terms; feedback is a row of the plan.
     """
@@ -285,8 +284,8 @@ def greedy_decode(entity, plan, vocab, config, max_len=None, return_trace=False)
     projected = slots @ plan.slot_w + plan.slot_b  # (S, a + 3H)
     keys, slot_in = projected[:, :a], projected[:, a:]
     mask, mean_slot = enc.mask.copy(), len(entity.facts)
-    mask[mean_slot] = all_live = not config.copy_only  # while all are live, nothing is masked
-    h, feedback, trace = np.zeros(H), np.zeros(3 * H), []
+    all_live = mask.all()  # while all are live, nothing is masked
+    h, feedback, trace = np.zeros(H), plan.feedback[0], []
     with np.errstate(over="ignore"):  # a saturated gate, as in ``gru``
         for _ in range(config.max_decode_len if max_len is None else max_len):
             state = plan.state_w @ h  # [query; update and reset state terms]
@@ -307,13 +306,13 @@ def greedy_decode(entity, plan, vocab, config, max_len=None, return_trace=False)
             if slot == mean_slot:
                 word = _head_argmax(plan.vocab_head, np.concatenate([alpha @ slots, h]),
                                     len(vocab))
-                token, feedback = vocab.word(word), plan.word_feedback[word]
+                token, feedback = vocab.word(word), plan.feedback[1 + dims.copy_width + word]
             else:
                 words = entity.facts[slot].factual_words
                 if len(words) > dims.copy_width:
                     raise ShapeError(f"n_words {len(words)} outside 1..{dims.copy_width}")
                 pos = _head_argmax(plan.copy_head, np.concatenate([slots[slot], h]), len(words))
-                token, feedback = words[pos], plan.copy_feedback[pos]  # lowercase, never <EOS>
+                token, feedback = words[pos], plan.feedback[1 + pos]  # lowercase, never <EOS>
             trace.append((token, alpha))
             if token == EOS:
                 break

@@ -8,7 +8,8 @@ otherwise, ``<UNK>`` included).  Teacher forcing feeds the gold slot's
 embedding and the gold previous-word feedback throughout.  ``train``
 records each minibatch's loss (:func:`batch_loss`) on one tape and
 replays it once; ``step_loss`` is the same loss for a batch of one.  One
-``encode_entities`` call and one gather give the minibatch's padded slots.
+``encode_entities`` call gives the minibatch's padded slots and their mask,
+and one ``gate_columns`` call the gate weights and the fed words' feedback rows.
 
 Checkpoint files are binary: magic ``FKS1``, a little-endian uint32
 manifest length, a UTF-8 JSON manifest (version, config, vocabulary,
@@ -36,7 +37,6 @@ from .decoder import (
     DecoderParams,
     ModelDims,
     attention_context,
-    attention_keys,
     decoder_step,
     fact_attention,
     gate_columns,
@@ -51,7 +51,7 @@ from .encoder import ENCODING_MODES, MEAN_FACT_MODES, encode_entities
 from .errors import CheckpointError, ConfigError, DataError, TrainingDivergenceError
 from .metrics import EvalPair, bleu
 from .tensor import (AdamState, Tape, Tensor, adam_step, add, affine, backward, concat,
-                     embedding_rows, getitem, nll, reshape, transpose)
+                     embedding_rows, getitem, nll, reshape)
 
 log = logging.getLogger(__name__)
 
@@ -169,16 +169,14 @@ def batch_loss(entities, aligned, params, vocab, config, parts=False):
     """
     dims = params.dims
     n_facts = np.array([len(entity.facts) for entity in entities])
-    fact_rows, mean_rows = encode_entities(entities, params.word_emb, vocab, config,
-                                           fixed_mean=params.fixed_mean())
-    batch, steps, slots = len(entities), max(len(a.tokens) for a in aligned), n_facts.max() + 1
-    # the mean-fact slot n is live unless copy_only; padding slots never are
-    mask = np.arange(slots) < n_facts[:, None] + (not config.copy_only)
+    fact_embs, mask = encode_entities(entities, params.word_emb, vocab, config,
+                                      fixed_mean=params.fixed_mean())
+    batch, steps, slots = len(entities), max(len(a.tokens) for a in aligned), mask.shape[1]
     gold = np.repeat(n_facts[:, None], steps, axis=1)  # gold slot per step
     target = np.zeros((batch, steps), dtype=np.intp)  # copy position or word index
     n_words = np.zeros((batch, steps), dtype=np.intp)  # the gold fact's words, copy steps
     copied = np.zeros((batch, steps), dtype=bool)
-    # step t's gate inputs add token t-1's feedback, one row of the table built below:
+    # step t's gate inputs add token t-1's feedback, one row of gate_columns' table:
     # the zero row at t = 0, a copy column after a copy, a fed word's row after a word
     feedback = np.zeros((batch, steps), dtype=np.intp)
     fed_words = []
@@ -205,24 +203,15 @@ def batch_loss(entities, aligned, params, vocab, config, parts=False):
         zero = Tensor(0.0)
         return (zero, zero, zero) if parts else zero
 
-    # entity b's slot s reads a fact row below n_b, its mean row at n_b, the zero row past it
-    n_rows = len(fact_rows.data)
-    layout = np.full((batch, slots), n_rows + batch)
-    layout[np.arange(slots) < n_facts[:, None]] = np.arange(n_rows)
-    layout[np.arange(batch), n_facts] = n_rows + np.arange(batch)
-    zero_row = Tensor(np.zeros((1, dims.embed_dim)))
-    fact_embs = embedding_rows(concat([fact_rows, mean_rows, zero_row]), layout.reshape(-1))
     gold_rows = gold + np.arange(batch)[:, None] * slots  # rows of fact_embs, (B * S, d)
-    fact_cols, word_cols, copy_cols, gate_b = gate_columns(params)
-    table = concat([Tensor(np.zeros((1, 3 * dims.hidden_dim))), transpose(copy_cols),
-                    affine(embedding_rows(params.word_emb, fed_words), word_cols)])
+    fact_cols, gate_b, table = gate_columns(params, fed_words)
     slot_in = affine(slot_embedding(fact_embs, gold_rows.reshape(-1)), fact_cols, gate_b)
     pre = add(reshape(slot_in, (batch, steps, -1)), embedding_rows(table, feedback))
     h = decoder_step(pre, Tensor(np.zeros((batch, dims.hidden_dim))), params)
     # h_0..h_{T-1}: step t attends from h_t, and emits from h_{t+1} = h[:, t]
     states = concat([Tensor(np.zeros((batch, 1, dims.hidden_dim))),
                      getitem(h, np.s_[:, :-1])], axis=1)
-    alpha = fact_attention(attention_keys(fact_embs, params), mask, states, params)
+    alpha = fact_attention(fact_embs, mask, states, params)
     b, t = np.nonzero(scored)
     fact_total = nll(alpha, gold[b, t], rows=b * steps + t)
     word_terms = []  # the heads gather their rows b * steps + t straight from (B, T, .)

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -207,3 +209,20 @@ def test_factual_words_subsequence_of_value_tokens(tmp_path):
         fact = corpus.Fact.build("p", value)
         it = iter(fact.value_tokens)
         assert all(w in it for w in fact.factual_words)  # subsequence check
+
+
+def test_the_bundled_data_is_what_the_readme_recipe_writes(tmp_path, monkeypatch):
+    # README's regeneration recipe, run as written in an empty directory, writes every
+    # bundled file byte for byte: the benchmark's unseen pool and its committed
+    # checkpoint both assume the files are generate_corpus output
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    recipe = re.search(r"Regenerate or grow them with:\n\n```python\n(.*?)```", readme, re.S)
+    assert recipe, "README has no regeneration recipe"
+    (tmp_path / "data" / "sample1k").mkdir(parents=True)
+    monkeypatch.chdir(tmp_path)
+    exec(recipe.group(1), {})
+    bundled = sorted(p.relative_to(root) for p in (root / "data").rglob("*.jsonl"))
+    assert bundled == sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*.jsonl"))
+    for name in bundled:
+        assert (tmp_path / name).read_bytes() == (root / name).read_bytes(), name

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from factdesc import corpus, toycorpus, training
-from factdesc.decoder import DecodePlan, greedy_decode
+from factdesc.decoder import DecodePlan, gate_columns, greedy_decode
+from factdesc.tensor import Tape
 
 ROOT = Path(__file__).resolve().parent.parent
 N_SEEN = 1100  # records of generate_corpus(seed=0) in the bundled train and dev splits
@@ -81,3 +82,22 @@ def test_a_plan_built_after_a_change_decodes_the_changed_model(reference, model)
     oracle = reference.Model(arrays(params), vocab.words, config)
     assert after == [oracle.greedy(e)[0] for e in entities]
     assert after != before
+
+
+def test_the_plans_feedback_rows_are_the_ones_training_records(model):
+    # training records its fed words' feedback rows on the tape (gate_columns of those
+    # words); the plan holds every word's.  The zero and copy rows are the same arrays.  A
+    # word's row is the same product, but from a GEMM of another height, whose BLAS
+    # kernels may round its last bits apart (they do for most heights here)
+    params = model[0].params
+    width = params.dims.copy_width
+    plan = DecodePlan(params)
+    rng = np.random.default_rng(4)
+    for n in (1, 5, 12, 40):
+        words = rng.integers(0, params.dims.vocab_size, n)
+        with Tape():
+            _, _, table = gate_columns(params, words)
+        assert table.requires_grad
+        assert np.array_equal(table.data[:1 + width], plan.feedback[:1 + width])
+        rows = plan.feedback[1 + width + words]
+        assert np.abs(table.data[1 + width:] - rows).max() <= 1e-14 * np.abs(rows).max()

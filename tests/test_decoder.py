@@ -6,7 +6,7 @@ import pytest
 from factdesc import corpus, decoder
 from factdesc.decoder import DecoderParams, ModelDims
 from factdesc.errors import EmptyFactError, ShapeError
-from factdesc.tensor import (Tensor, add, affine, getitem, grad_check, masked_softmax, mul,
+from factdesc.tensor import (Tensor, affine, concat, getitem, grad_check, masked_softmax, mul,
                              reshape, sum_all)
 from factdesc.training import TrainConfig
 
@@ -29,8 +29,7 @@ def zeroed_params(dims, mean_fact_mode="mean"):
 
 def _attend(embs, mask, h, params):
     # one entity's (T, S) attention rows for the states h (T, H), as a batch of one
-    keys = decoder.attention_keys(embs, params)
-    return decoder.fact_attention(keys, np.asarray(mask)[None], Tensor(h.data[None]), params)
+    return decoder.fact_attention(embs, np.asarray(mask)[None], Tensor(h.data[None]), params)
 
 
 def test_identical_fact_embeddings_give_uniform_attention():
@@ -98,11 +97,10 @@ def test_fact_attention_pairs_every_state_with_every_slot():
     rng = np.random.default_rng(21)
     embs, h = rng.normal(size=(2, 5, 3)), rng.normal(size=(2, 4, 2))
     masks = np.array([[True, False, True, True, True], [True, True, True, False, False]])
-    keys = decoder.attention_keys(Tensor(embs.reshape(10, 3)), params)
-    batched = decoder.fact_attention(keys, masks, Tensor(h), params).data.reshape(2, 4, 5)
+    batched = decoder.fact_attention(Tensor(embs.reshape(10, 3)), masks, Tensor(h),
+                                     params).data.reshape(2, 4, 5)
     with pytest.raises(ShapeError):  # one entity's states and mask without the batch axis
-        decoder.fact_attention(decoder.attention_keys(Tensor(embs[0]), params), masks[0],
-                               Tensor(h[0]), params)
+        decoder.fact_attention(Tensor(embs[0]), masks[0], Tensor(h[0]), params)
     for b in range(2):
         one = _attend(Tensor(embs[b]), masks[b], Tensor(h[b]), params).data
         energies = np.where(masks[b], _pair_energies(embs[b], h[b], params), -np.inf)
@@ -129,9 +127,9 @@ def test_identical_slots_get_bit_equal_attention_wherever_they_sit(steps):
         batch = np.zeros((3, 16, 100))
         batch[1, :n] = embs
         live = np.arange(16) < np.array([[16], [n], [5]])
-        keys = decoder.attention_keys(Tensor(batch.reshape(48, 100)), params)
         states = Tensor(np.stack([h.data] * 3))
-        alpha = decoder.fact_attention(keys, live, states, params).data[steps:2 * steps]
+        alpha = decoder.fact_attention(Tensor(batch.reshape(48, 100)), live, states,
+                                       params).data[steps:2 * steps]
         assert np.array_equal(alpha[:, first], alpha[:, second]), (n, first, second)
 
 
@@ -198,21 +196,31 @@ def test_slot_embedding_gathers_the_exact_row():
 
 
 def _gate_inputs(f, w, v, params):
-    # (B, T, 3H) gate inputs of the rows [f; w; v] (B, T, .), through the gate columns
-    fact, word, copy, bias = decoder.gate_columns(params)
-    rows = [reshape(x, (-1, x.shape[-1])) for x in (f, w, v)]
-    pre = add(add(affine(rows[0], fact, bias), affine(rows[1], word)), affine(rows[2], copy))
+    # (B, T, 3H) gate inputs of the rows [f; w; v] (B, T, .), through each whole gru_*_x
+    x = concat([f, w, v], axis=2)
+    x = reshape(x, (-1, x.shape[2]))
+    pre = concat([affine(x, getattr(params, f"gru_{g}_x"), getattr(params, f"gru_{g}_b"))
+                  for g in decoder.GATES], axis=1)
     return reshape(pre, f.shape[:2] + (-1,))
 
 
 def test_gate_columns_split_each_gate_by_input():
+    # the fact columns and biases of each gate, and the feedback table: the zero row,
+    # a row of copy columns per position, then each word through the word columns
     params = DecoderParams(tiny_dims(), rng=np.random.default_rng(8))
-    fact, word, copy, bias = decoder.gate_columns(params)
+    words = [5, 0, 3, 3]
+    fact, bias, table = decoder.gate_columns(params, words)
+    assert table.shape == (1 + 4 + len(words), 9)
+    assert np.array_equal(table.data[0], np.zeros(9))
+    word_cols = []
     for i, gate in enumerate(decoder.GATES):
         x = getattr(params, f"gru_{gate}_x").data
         rows = np.s_[3 * i:3 * i + 3]
-        assert np.array_equal(np.hstack([fact.data[rows], word.data[rows], copy.data[rows]]), x)
+        assert np.array_equal(fact.data[rows], x[:, :3])
         assert np.array_equal(bias.data[rows], getattr(params, f"gru_{gate}_b").data)
+        assert np.array_equal(table.data[1:5, rows], x[:, 6:].T)
+        word_cols.append(x[:, 3:6])
+    assert np.array_equal(table.data[5:], params.word_emb.data[words] @ np.vstack(word_cols).T)
 
 
 def test_decoder_step_zero_weights_halve_state():

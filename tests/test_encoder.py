@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from factdesc import corpus, encoder
 from factdesc.encoder import positional_weights
 from factdesc.errors import ConfigError
-from factdesc.tensor import Tape, Tensor, backward, concat, grad_check, mul, sum_all, tanh
+from factdesc.tensor import Tape, Tensor, backward, grad_check, mul, sum_all, tanh
 from factdesc.training import TrainConfig
 
 
@@ -169,15 +169,16 @@ def test_encode_entity_single_fact_mean_equals_fact():
 
 def test_encode_entity_one_slot_per_fact_plus_mean():
     vocab, table = _entity_setup()
-    cfg = TrainConfig()
-    enc = encoder.encode_entity(_two_fact_entity(), table, vocab, cfg)
-    assert enc.embeddings.data.shape == (3, 2)
-    assert enc.mask.tolist() == [True, True, True]
-    # every fact is encoded: the limit on facts applies when entities are read
-    seven = corpus.Entity("Q7", [corpus.Fact(["a"], [], [])] * 7, None)
-    enc = encoder.encode_entity(seven, table, vocab, cfg)
-    assert enc.embeddings.data.shape == (8, 2)
-    assert enc.mask.tolist() == [True] * 8
+    for copy_only in (False, True):  # the mean slot is live unless copy_only
+        cfg = TrainConfig(copy_only=copy_only)
+        enc = encoder.encode_entity(_two_fact_entity(), table, vocab, cfg)
+        assert enc.embeddings.data.shape == (3, 2)
+        assert enc.mask.tolist() == [True, True, not copy_only]
+        # every fact is encoded: the limit on facts applies when entities are read
+        seven = corpus.Entity("Q7", [corpus.Fact(["a"], [], [])] * 7, None)
+        enc = encoder.encode_entity(seven, table, vocab, cfg)
+        assert enc.embeddings.data.shape == (8, 2)
+        assert enc.mask.tolist() == [True] * 7 + [not copy_only]
     assert [f.name for f in dataclasses.fields(enc)] == ["embeddings", "mask"]
 
 
@@ -259,40 +260,44 @@ _PHRASES = st.lists(st.tuples(st.lists(_WORD, min_size=1, max_size=5),
        batch=st.lists(_PHRASES, min_size=1, max_size=5),
        dim=st.integers(1, 6), encoding=st.sampled_from(encoder.ENCODING_MODES),
        mean_fact=st.sampled_from(encoder.MEAN_FACT_MODES),
-       max_phrase_len=st.integers(1, 10))
+       max_phrase_len=st.integers(1, 10), copy_only=st.booleans())
 def test_encode_entity_equals_per_fact_oracle(seed, n_known, batch, dim, encoding, mean_fact,
-                                              max_phrase_len):
-    # encode_entities on 1-5 entities against the oracle, entity by entity;
-    # each entity's rows against its batch of one (encode_entity)
+                                              max_phrase_len, copy_only):
+    # encode_entities on 1-5 entities against the oracle, entity by entity, in the
+    # padded slot table: facts, mean, zero rows; each entity's rows and mask against
+    # its batch of one (encode_entity)
     rng = np.random.default_rng(seed)
     vocab = _vocab(["a", "b", "c", "d", "e", "f", "g", "h"][:n_known])
     table = Tensor(rng.normal(size=(len(vocab), dim)), requires_grad=True)
-    cfg = TrainConfig(encoding=encoding, max_factual_words=max_phrase_len)
+    cfg = TrainConfig(encoding=encoding, max_factual_words=max_phrase_len, copy_only=copy_only)
     entities = [corpus.Entity(f"Q{i}", [corpus.Fact(p, v, []) for p, v in phrases], None)
                 for i, phrases in enumerate(batch)]
     frozen = Tensor(encoder.fixed_mean_vector(rng, dim)) if mean_fact == "fixed_random" else None
     n = np.array([len(phrases) for phrases in batch])  # 1-7 facts, every one encoded
-    coeffs = rng.normal(size=(n.sum() + len(n), dim))
+    width = n.max() + 1  # slots per entity
+    coeffs = rng.normal(size=(len(n) * width, dim))  # padding rows too: they must not leak
     with Tape() as tape:
-        fact_rows, mean_rows = encoder.encode_entities(entities, table, vocab, cfg,
-                                                       fixed_mean=frozen)
-        loss = sum_all(mul(concat([fact_rows, mean_rows]), Tensor(coeffs)))
+        slots, mask = encoder.encode_entities(entities, table, vocab, cfg, fixed_mean=frozen)
+        loss = sum_all(mul(slots, Tensor(coeffs)))
     backward(loss, tape)
-    assert fact_rows.data.shape == (n.sum(), dim) and mean_rows.data.shape == (len(n), dim)
+    assert slots.data.shape == (len(n) * width, dim) and mask.shape == (len(n), width)
     expected_grad = np.zeros_like(table.data)
     by_phrase = {}
-    for b, (entity, start) in enumerate(zip(entities, np.cumsum(n) - n)):
-        own = slice(start, start + n[b])
+    for b, entity in enumerate(entities):
+        own, live = slots.data[b * width:(b + 1) * width], n[b] + 1
         rows, grad = _oracle(entity, table, vocab, cfg, None if frozen is None else frozen.data,
-                             np.vstack([coeffs[own], coeffs[n.sum() + b]]))
+                             coeffs[b * width:b * width + live])
         expected_grad += grad
-        got = np.vstack([fact_rows.data[own], mean_rows.data[b]])
-        assert np.abs(got - rows).max() <= 1e-12 * np.abs(rows).max()
+        assert np.abs(own[:live] - rows).max() <= 1e-12 * np.abs(rows).max()
+        assert mask[b].tolist() == [True] * n[b] + [not copy_only] + [False] * (width - live)
+        assert not own[live:].any()
         alone = encoder.encode_entity(entity, table, vocab, cfg, fixed_mean=frozen)
-        assert np.array_equal(fact_rows.data[own], alone.embeddings.data[:-1])
+        assert np.array_equal(mask[b, :live], alone.mask)
+        assert np.array_equal(own[:n[b]], alone.embeddings.data[:-1])
+        # the means are one GEMM over the batch's (B, ΣN) block, which may round otherwise
         scale = np.abs(alone.embeddings.data[:-1]).max()
-        assert np.abs(mean_rows.data[b] - alone.embeddings.data[-1]).max() <= 1e-15 * scale
-        for fact, row in zip(entity.facts, fact_rows.data[own]):
+        assert np.abs(own[n[b]] - alone.embeddings.data[-1]).max() <= 1e-15 * scale
+        for fact, row in zip(entity.facts, own):
             same = by_phrase.setdefault(tuple(fact.phrase()[:max_phrase_len]), row)
             assert np.array_equal(row, same)
     assert (np.abs(table.grad - expected_grad) / np.maximum(1.0, np.abs(expected_grad))).max() \
@@ -309,12 +314,12 @@ def test_encode_entities_gradient_matches_finite_differences(mean_fact):
              [("a", "b c"), ("d", "a"), ("b b", "zz d"), ("c", "c a b"), ("qq", "a")]]
     entities = [corpus.Entity("Q1", facts[:3], None), corpus.Entity("Q2", facts[3:4], None),
                 corpus.Entity("Q3", facts[3:], None)]  # 3, 1 and 2 facts
-    coeffs = Tensor(rng.normal(size=(6 + 3, 3)))
+    coeffs = Tensor(rng.normal(size=(3 * 4, 3)))  # 3 entities of 3 facts and a mean slot
 
     def f(params):
-        rows = encoder.encode_entities(entities, params[0], vocab, TrainConfig(),
-                                       fixed_mean=frozen)
-        return sum_all(mul(tanh(concat(rows)), coeffs))
+        slots, _ = encoder.encode_entities(entities, params[0], vocab, TrainConfig(),
+                                           fixed_mean=frozen)
+        return sum_all(mul(tanh(slots), coeffs))
 
     assert grad_check(f, [table]) < 1e-6
 

@@ -25,7 +25,6 @@ from factdesc.decoder import (
     GATES,
     DecoderParams,
     attention_context,
-    attention_keys,
     copy_logits,
     decoder_step,
     fact_attention,
@@ -45,21 +44,20 @@ def replay(entity, params, vocab, config, max_len, tokens, trace):
     dims = params.dims
     enc = encode_entity(entity, params.word_emb, vocab, config, fixed_mean=params.fixed_mean())
     mean_slot = len(entity.facts)
-    keys = attention_keys(enc.embeddings, params)
+    # the encoder masks the mean slot under copy_only; checked here, not copied
+    assert enc.mask.tolist() == [True] * mean_slot + [not config.copy_only]
     mask = enc.mask[None].copy()  # (1, S)
-    if config.copy_only:
-        mask[0, mean_slot] = False
     h = Tensor(np.zeros((1, 1, dims.hidden_dim)))  # (B, T, H)
     w_prev = Tensor(np.zeros((1, dims.embed_dim)))
     v_prev = Tensor(np.zeros((1, dims.copy_width)))
     for token, row in trace:
         slot = int(np.argmax(row))
-        alpha = fact_attention(keys, mask, h, params)
+        alpha = fact_attention(enc.embeddings, mask, h, params)
         # wordless facts that won an earlier attempt of this step are masked
         while (top := int(np.argmax(alpha.data[0]))) != slot:
             assert top != mean_slot and not entity.facts[top].factual_words
             mask[0, top] = False
-            alpha = fact_attention(keys, mask, h, params)
+            alpha = fact_attention(enc.embeddings, mask, h, params)
         assert np.abs(alpha.data[0] - row).max() <= 1e-12
         f_t = slot_embedding(enc.embeddings, [slot])  # (1, d)
         x = concat([f_t, w_prev, v_prev], axis=1)
@@ -83,7 +81,7 @@ def replay(entity, params, vocab, config, max_len, tokens, trace):
     if len(trace) < max_len and not (trace and trace[-1][0] == EOS):
         # decoding stopped early: attending masks every slot left, one by one
         while mask.any():
-            top = int(np.argmax(fact_attention(keys, mask, h, params).data[0]))
+            top = int(np.argmax(fact_attention(enc.embeddings, mask, h, params).data[0]))
             assert top != mean_slot and not entity.facts[top].factual_words
             mask[0, top] = False
     assert tokens == [t for t, _ in trace if t not in (EOS, UNK)]

@@ -21,7 +21,6 @@ from factdesc.alignment import Source, align_description
 from factdesc.decoder import (
     DecoderParams,
     attention_context,
-    attention_keys,
     copy_logits,
     fact_attention,
     slot_embedding,
@@ -50,10 +49,9 @@ def per_token_loss(entity, aligned, params, vocab, config):
     dims = params.dims
     enc = encode_entity(entity, params.word_emb, vocab, config, fixed_mean=params.fixed_mean())
     mean_slot = len(entity.facts)
-    keys = attention_keys(enc.embeddings, params)
+    # the encoder masks the mean slot under copy_only; checked here, not copied
+    assert enc.mask.tolist() == [True] * mean_slot + [not config.copy_only]
     mask = enc.mask[None].copy()  # (1, S)
-    if config.copy_only:
-        mask[0, mean_slot] = False
     h = Tensor(np.zeros((1, dims.hidden_dim)))
     w_prev = Tensor(np.zeros((1, dims.embed_dim)))
     v_prev = Tensor(np.zeros((1, dims.copy_width)))
@@ -63,7 +61,8 @@ def per_token_loss(entity, aligned, params, vocab, config):
         gold = token.fact_index if copied else mean_slot
         scored = copied or not config.copy_only
         if scored:
-            alpha = fact_attention(keys, mask, reshape(h, (1, 1, dims.hidden_dim)), params)
+            alpha = fact_attention(enc.embeddings, mask, reshape(h, (1, 1, dims.hidden_dim)),
+                                   params)
             terms.append(nll(alpha, [gold]))
         f_t = slot_embedding(enc.embeddings, [gold])
         h = _gru_step(concat([f_t, w_prev, v_prev], axis=1), h, params)
