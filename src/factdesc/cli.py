@@ -83,20 +83,16 @@ def _load_entities(path, config):
 
 def _read_text_rows(path):
     rows = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(corpus.utf8_lines(handle, path), start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                key, text = corpus._text(record["id"], "id"), record["text"]
-            except (json.JSONDecodeError, KeyError, TypeError, DataError) as exc:
-                raise DataError(f"{path}:{line_no}: expected {{'id', 'text'}} rows ({exc})")
-            if not isinstance(text, str):
-                raise DataError(f"{path}:{line_no}: text of {key} must be a string")
-            if key in rows:
-                raise DataError(f"{path}:{line_no}: repeated id {key}")
-            rows[key] = corpus.tokenize(text)
+    for line_no, record in corpus.read_jsonl(path):
+        try:
+            key, text = corpus.as_text(record["id"], "id"), record["text"]
+        except (KeyError, TypeError, DataError) as exc:
+            raise DataError(f"{path}:{line_no}: expected {{'id', 'text'}} rows ({exc})")
+        if not isinstance(text, str):
+            raise DataError(f"{path}:{line_no}: text of {key} must be a string")
+        if key in rows:
+            raise DataError(f"{path}:{line_no}: repeated id {key}")
+        rows[key] = corpus.tokenize(text)
     return rows
 
 

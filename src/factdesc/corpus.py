@@ -31,6 +31,10 @@ VOCAB_SOURCES = ("descriptions", "descriptions+properties")
 
 UNK, SOS, EOS = "<UNK>", "<SOS>", "<EOS>"
 
+# What decoding outside JSON can raise: ValueError covers malformed JSON, bytes that
+# are not UTF-8 and an integer of more than 4,300 digits, RecursionError deep nesting.
+DECODE_ERRORS = (ValueError, RecursionError)
+
 # Fixed list of English function words; tokens on it never become
 # factual (copyable) words.
 STOPWORDS = frozenset({
@@ -154,7 +158,7 @@ def build_vocabulary(train_entities, size, source="descriptions"):
     return Vocabulary([UNK, SOS, EOS] + [w for w, _ in ranked[:size]])
 
 
-def _text(value, field, entity_id=None):
+def as_text(value, field, entity_id=None):
     """A JSON string or number as text; ``null``, booleans, arrays and objects raise."""
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         where = "" if entity_id is None else f"entity {entity_id}: "
@@ -167,13 +171,13 @@ def parse_record(record, max_facts=DEFAULT_MAX_FACTS,
     """Turn one decoded JSONL record into an ``Entity`` (or None to skip)."""
     if not isinstance(record, dict) or "id" not in record or "facts" not in record:
         raise DataError("record must be an object with 'id' and 'facts'")
-    entity_id = _text(record["id"], "id")
+    entity_id = as_text(record["id"], "id")
     if not isinstance(description := record.get("description"), (str, type(None))):
         raise DataError(f"entity {entity_id}: description must be a string")
     facts = []
     for raw in record["facts"]:
-        prop = _text(raw["property"], "property", entity_id)
-        fact = Fact.build(prop, _text(raw["value"], "value", entity_id), max_factual_words)
+        prop = as_text(raw["property"], "property", entity_id)
+        fact = Fact.build(prop, as_text(raw["value"], "value", entity_id), max_factual_words)
         if not fact.property_tokens:
             log.warning("entity %s: dropping fact with empty property %r", entity_id, prop)
             continue
@@ -186,30 +190,29 @@ def parse_record(record, max_facts=DEFAULT_MAX_FACTS,
     return Entity(entity_id, facts, tokens)
 
 
+def read_jsonl(path):
+    """``(line_no, value)`` for each non-blank line of the UTF-8 JSONL file ``path``: a
+    line ``json`` cannot decode raises ``ParseError``, bytes that are not UTF-8 ``DataError``."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            for line_no, line in enumerate(handle, start=1):
+                if line.strip():
+                    yield line_no, json.loads(line)
+        except DECODE_ERRORS as exc:
+            if isinstance(exc, UnicodeDecodeError):  # raised reading the file, not a line
+                raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+            raise ParseError(path, line_no, f"invalid JSON: {exc}") from exc
+
+
 def load_entities(path, max_facts=DEFAULT_MAX_FACTS,
                   max_factual_words=DEFAULT_MAX_FACTUAL_WORDS):
     """Parse one JSONL file; malformed lines raise with their line number."""
     entities = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(utf8_lines(handle, path), start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from exc
-            try:
-                entity = parse_record(record, max_facts, max_factual_words)
-            except (DataError, KeyError, TypeError) as exc:
-                raise ParseError(path, line_no, str(exc)) from exc
-            if entity is not None:
-                entities.append(entity)
+    for line_no, record in read_jsonl(path):
+        try:
+            entity = parse_record(record, max_facts, max_factual_words)
+        except (DataError, KeyError, TypeError) as exc:
+            raise ParseError(path, line_no, str(exc)) from exc
+        if entity is not None:
+            entities.append(entity)
     return entities
-
-
-def utf8_lines(handle, path):
-    """The lines of a text file opened as UTF-8; other bytes raise ``DataError``."""
-    try:
-        yield from handle
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc

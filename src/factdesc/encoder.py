@@ -18,12 +18,13 @@ given, stands in for that mean.  d is the word table's width; the rest
 A minibatch of B entities is encoded in one pass in either mode
 (:func:`encode_entities`): one gather of all their phrase words, one
 product with the stacked (J, d) weight blocks, one sum per fact's run of
-rows, one product of a (B, ΣN) block of 1/N rows with the fact rows for
-the B means, and one gather that lays the rows out as the padded slot
-table training and decoding attend over.  The runs are summed one by one,
-not by a GEMM with a 0/1 segment matrix, whose summation order depends on
-where a run sits: facts with the same words must tie exactly, as attention
-breaks ties toward the lower slot.  :func:`encode_entity` is the batch of one.
+rows, one sum per entity's run of fact rows times its 1/N for the B means,
+and one gather that lays the rows out as the padded slot table training and
+decoding attend over.  The runs are summed one by one, not by a GEMM with a
+0/1 or 1/N segment matrix, whose summation order depends on where a run
+sits: facts with the same words must tie exactly, as attention breaks ties
+toward the lower slot, and an entity's mean row is the same in any batch.
+:func:`encode_entity` is the batch of one.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import Tensor, concat, embedding_rows, matmul, mul, segment_sum
+from .tensor import Tensor, concat, embedding_rows, mul, segment_sum
 
 ENCODING_MODES = ("positional", "mean_pool")
 MEAN_FACT_MODES = ("mean", "fixed_random")
@@ -86,13 +87,12 @@ def encode_entities(entities, word_embeddings, vocab, config, *, fixed_mean=None
     """
     n_facts = [len(entity.facts) for entity in entities]
     batch, n_rows, width = len(n_facts), sum(n_facts), max(n_facts) + 1
-    phrases, layout, block = [], [], np.zeros((batch, n_rows))
+    phrases, layout = [], []
     for b, (entity, n) in enumerate(zip(entities, n_facts)):
         cut = [f.phrase()[: config.max_phrase_len] for f in entity.facts]
         if not cut or not all(cut):
             what = "a fact with an empty phrase" if cut else "an entity without facts"
             raise ConfigError(f"entity {entity.id}: cannot encode {what}")
-        block[b, len(phrases):len(phrases) + n] = 1.0 / n  # the mean over b's fact rows
         # b's slots read its fact rows, then its mean row, then the zero row
         layout += [*range(len(phrases), len(phrases) + n), n_rows + b]
         layout += [n_rows + batch] * (width - n - 1)
@@ -101,8 +101,8 @@ def encode_entities(entities, word_embeddings, vocab, config, *, fixed_mean=None
     words = embedding_rows(word_embeddings, vocab.indices([w for p in phrases for w in p]))
     weights = np.concatenate([_weight_block(j, dim, config.encoding) for j in lengths])
     rows = segment_sum(mul(words, Tensor(weights)), lengths)
-    means = (matmul(Tensor(block), rows) if fixed_mean is None
-             else embedding_rows(fixed_mean, np.zeros(batch, dtype=np.intp)))
+    means = (mul(segment_sum(rows, n_facts), Tensor(1.0 / np.array(n_facts)[:, None]))
+             if fixed_mean is None else embedding_rows(fixed_mean, np.zeros(batch, dtype=np.intp)))
     table, layout = concat([rows, means, Tensor(np.zeros((1, dim)))]), np.array(layout)
     # live: the fact rows, and the mean rows unless copy_only
     mask = layout < n_rows + (0 if config.copy_only else batch)

@@ -30,8 +30,8 @@ class Tensor:
     """A dense float64 array plus gradient bookkeeping.
 
     ``grad`` is allocated by :func:`backward` when absent and always
-    matches ``data``'s shape.  ``name`` is optional and only used for error
-    messages and checkpoint manifests.
+    matches ``data``'s shape.  ``name`` is optional and read only by
+    ``repr``.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "name")
@@ -410,20 +410,18 @@ def backward(loss, tape):
 
 
 ADAM_CHUNK = 16384  # values updated per pass, so the temporaries stay small
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # Kingma and Ba's defaults
 
 
 @dataclass
 class AdamState:
-    """Adam moments and hyperparameters for one flat parameter array.
+    """Adam's learning rate and moments for one flat parameter array.
 
     The moment arrays ``m`` and ``v`` are allocated on the first step, so
     every call must update the same array.
     """
 
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step: int = 0
     m: Optional[np.ndarray] = None
     v: Optional[np.ndarray] = None
@@ -443,23 +441,23 @@ def adam_step(values, grad, state, name_at=str):
     if state.m is None:
         state.m, state.v = np.zeros_like(grad), np.zeros_like(grad)
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
+    bc1 = 1.0 - ADAM_BETA1 ** state.step
+    bc2 = 1.0 - ADAM_BETA2 ** state.step
     scale = state.learning_rate / bc1
     work = np.empty((2, ADAM_CHUNK))
     for lo in range(0, grad.size, ADAM_CHUNK):
         param, g, m, v = (a[lo:lo + ADAM_CHUNK] for a in (values, grad, state.m, state.v))
         delta, root = work[:, :g.size]
         # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2, p -= scale m / (sqrt(v / bc2) + eps)
-        m *= state.beta1
-        m += np.multiply(g, 1.0 - state.beta1, out=delta)
-        v *= state.beta2
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=delta)
+        v *= ADAM_BETA2
         np.multiply(g, g, out=delta)
-        delta *= 1.0 - state.beta2
+        delta *= 1.0 - ADAM_BETA2
         v += delta
         np.divide(v, bc2, out=root)
         np.sqrt(root, out=root)
-        root += state.epsilon
+        root += ADAM_EPSILON
         np.multiply(m, scale, out=delta)
         delta /= root
         param -= delta

@@ -30,8 +30,8 @@ from math import prod
 import numpy as np
 
 from .alignment import Source, align_description
-from .corpus import (DEFAULT_MAX_FACTS, DEFAULT_MAX_FACTUAL_WORDS, EOS, SOS, UNK, VOCAB_SOURCES,
-                     Vocabulary, build_vocabulary)
+from .corpus import (DECODE_ERRORS, DEFAULT_MAX_FACTS, DEFAULT_MAX_FACTUAL_WORDS, EOS, SOS, UNK,
+                     VOCAB_SOURCES, Vocabulary, build_vocabulary)
 from .decoder import (
     DecodePlan,
     DecoderParams,
@@ -130,10 +130,8 @@ class TrainConfig:
         with open(path, encoding="utf-8") as handle:
             try:
                 data = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: invalid config JSON: {exc.msg}") from exc
-            except UnicodeDecodeError as exc:
-                raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+            except DECODE_ERRORS as exc:
+                raise DataError(f"{path}: invalid config JSON: {exc}") from exc
         return cls.from_dict(data)
 
 
@@ -381,11 +379,13 @@ def save_checkpoint(checkpoint, path):
 def load_checkpoint(path):
     """Read an FKS1 file back into a :class:`Checkpoint`.
 
-    Rejects bad magic, version mismatches, malformed manifests (a ``meta``
-    that is not an object included), a vocabulary longer than the output
-    rows, that repeats a word or does not start with the specials, a tensor
-    list other than the config's layout (naming the first entry that
-    differs), a payload of another length, and non-finite tensors (named).
+    Rejects bad magic, a manifest that is not UTF-8 or that ``json`` cannot
+    decode (:data:`~factdesc.corpus.DECODE_ERRORS`), version mismatches,
+    malformed manifests (a ``meta`` that is not an object included), a
+    vocabulary longer than the output rows, that repeats a word or does not
+    start with the specials, a tensor list other than the config's layout
+    (naming the first entry that differs), a payload of another length, and
+    non-finite tensors (named).
     """
     with open(path, "rb") as handle:
         raw = handle.read()
@@ -399,7 +399,7 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: manifest truncated")
     try:
         manifest = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except DECODE_ERRORS as exc:
         raise CheckpointError(f"{path}: manifest unreadable: {exc}") from exc
     if not isinstance(manifest, dict):
         raise CheckpointError(f"{path}: manifest is not a JSON object")

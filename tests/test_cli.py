@@ -3,9 +3,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from factdesc import cli, toycorpus, training
-from factdesc.errors import DataError
+from factdesc import cli, corpus, toycorpus, training
+from factdesc.errors import ConfigError, DataError
 from factdesc.training import TrainConfig
 
 from .test_training import SAMPLE1K_CHECKPOINT
@@ -547,6 +549,74 @@ def test_evaluate_non_utf8_rows_exit_2(tmp_path, capsys):
     assert cli.run(["evaluate", "--candidates", str(bad), "--references", str(good),
                     "--out", str(tmp_path / "report.json")]) == 2
     assert str(bad) in capsys.readouterr().err
+
+
+# JSON that json cannot decode although it is well formed: nesting past the
+# recursion limit, and an integer past the 4,300-digit conversion limit
+UNDECODABLE = {"deep": "[" * 100_000, "digits": "1" * 5_000}
+
+
+@pytest.mark.parametrize("what", UNDECODABLE)
+@pytest.mark.parametrize("where", ["generate-input", "align-data", "evaluate-rows", "config",
+                                   "manifest"])
+def test_input_json_cannot_decode_exits_2_naming_it(trained, tmp_path, capsys, where, what):
+    ckpt, out = trained[3], str(tmp_path / "out")
+    good = tmp_path / "good.jsonl"
+    toycorpus.write_jsonl(toycorpus.generate_corpus(2, seed=9), good)
+    if where == "config":
+        bad = tmp_path / "bad.json"
+        bad.write_text(UNDECODABLE[what])
+        argv = ["params", "--config", str(bad)]
+    elif where == "manifest":
+        bad, raw, blob = tmp_path / "bad.fks", ckpt.read_bytes(), UNDECODABLE[what].encode()
+        (length,) = struct.unpack("<I", raw[4:8])
+        bad.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + length:])
+        argv = ["generate", "--checkpoint", str(bad), "--input", str(good), "--out", out]
+    else:
+        bad = tmp_path / "bad.jsonl"
+        first = (json.dumps({"id": "Q1", "text": "a b"}) if where == "evaluate-rows"
+                 else good.read_text().splitlines()[0])
+        bad.write_text(first + "\n\n" + UNDECODABLE[what] + "\n")  # the bad line is line 3
+        argv = {"generate-input": ["generate", "--checkpoint", str(ckpt), "--input", str(bad)],
+                "align-data": ["align", "--data", str(bad)],
+                "evaluate-rows": ["evaluate", "--candidates", str(bad),
+                                  "--references", str(bad)]}[where] + ["--out", out]
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(bad) in err
+    if bad.suffix == ".jsonl":
+        assert f"{bad}:3: " in err
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+# JSON values whose objects often carry the keys the readers look up
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["id", "facts", "property", "value", "description", "text"]) | st.text(),
+        inner, max_size=4),
+    max_leaves=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(st.one_of(st.text(), _JSON.map(json.dumps), st.binary()), max_size=3))
+@example(lines=[UNDECODABLE["deep"]])
+@example(lines=[UNDECODABLE["digits"]])
+def test_readers_raise_only_data_errors(fuzz_file, lines):
+    # whatever the file holds, the JSON readers raise DataError or read it; a config
+    # that decodes but is not a valid config raises ConfigError, which exits 2 as well
+    fuzz_file.write_bytes(b"\n".join(
+        line if isinstance(line, bytes) else line.encode("utf-8") for line in lines))
+    for read, allowed in ((corpus.load_entities, DataError), (cli._read_text_rows, DataError),
+                          (TrainConfig.from_file, (DataError, ConfigError))):
+        try:
+            read(fuzz_file)
+        except allowed:
+            pass
 
 
 @pytest.mark.parametrize("max_len", ["0", "-4", "two"])

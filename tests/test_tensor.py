@@ -282,14 +282,14 @@ def _adam_reference(values, grad, state):
     if state.m is None:
         state.m, state.v = np.zeros_like(grad), np.zeros_like(grad)
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
+    bc1 = 1.0 - T.ADAM_BETA1 ** state.step
+    bc2 = 1.0 - T.ADAM_BETA2 ** state.step
     scale = state.learning_rate / bc1
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grad
-    state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * (grad * grad)
-    values -= scale * state.m / (np.sqrt(state.v / bc2) + state.epsilon)
+    state.m *= T.ADAM_BETA1
+    state.m += (1.0 - T.ADAM_BETA1) * grad
+    state.v *= T.ADAM_BETA2
+    state.v += (1.0 - T.ADAM_BETA2) * (grad * grad)
+    values -= scale * state.m / (np.sqrt(state.v / bc2) + T.ADAM_EPSILON)
 
 
 def _adam_matches_the_formula(size):
